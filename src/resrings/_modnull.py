@@ -17,7 +17,7 @@ caller can fall back to exact elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def _kernel_mod_p(red: np.ndarray, pivots: list[int], ncols: int, p: int) -> lis
 
 def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     """Balanced rational reconstruction of a mod m, or None."""
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, a % m
     t0, t1 = 0, 1
     while r1 > bound:

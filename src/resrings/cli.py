@@ -34,7 +34,7 @@ from .ringalg import (
     structure_constants,
     verify_table,
 )
-from .symcore import Polynomial, PolyMatrix
+from .symcore import Polynomial, PolyMatrix, rational_from_json
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -44,7 +44,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -71,13 +71,16 @@ def _parse_ns(spec: str | None) -> tuple[int, ...] | None:
     if spec is None:
         return None
     out: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise InputError(f"bad n range {spec!r}") from exc
     if not out:
         raise InputError(f"empty n range {spec!r}")
     return tuple(out)
@@ -122,9 +125,9 @@ def _cmd_table(args) -> int:
     if args.normalize != "none":
         T, s = normalize(T, args.normalize)
         applied = [str(v) for v in s.lambdas]
-    report = verify_table(T)
-    if not (report.associative and report.c0_consistent):
-        raise InconsistencyError(f"table failed verification: {report.witness}")
+        report = verify_table(T)
+        if not report.associative:
+            raise InconsistencyError(f"table failed verification: {report.witness}")
     payload = T.to_json()
     payload["provenance"] = {
         "resolution_sha256": _resolution_hash(F),
@@ -137,7 +140,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_disc(args) -> int:
     if args.cubic is not None:
-        f = BinaryCubic.of(*args.cubic)
+        f = BinaryCubic.of(*(rational_from_json(v) for v in args.cubic))
         print(str(discriminant(ldf_table(f))))
         return 0
     if args.orders:
@@ -185,7 +188,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classical(args) -> int:
     if args.kind == "cubic":
-        f = BinaryCubic.of(*args.coeffs)
+        f = BinaryCubic.of(*(rational_from_json(v) for v in args.coeffs))
         T = ldf_table(f)
         payload = {"table": T.to_json(), "discriminant": str(f.discriminant())}
         if f.discriminant() != 0:

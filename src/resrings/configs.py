@@ -141,13 +141,17 @@ class Configuration:
         try:
             kind = data["kind"]
             n = int(data["n"])
+            if kind == "points":
+                pts = [[rational_from_json(v) for v in pt] for pt in data["points"]]
+            elif kind == "etale":
+                coeffs = [int(v) for v in data["f"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad configuration JSON: {exc}") from exc
         if kind == "points":
-            pts = [[rational_from_json(v) for v in pt] for pt in data["points"]]
+            if len(pts) != n:
+                raise InputError(f"points JSON has n = {n} but lists {len(pts)} points")
             return points_config(pts)
         if kind == "etale":
-            coeffs = [int(v) for v in data["f"]]
             cfg = from_etale(coeffs)
             if cfg.n != n:
                 raise InputError("etale polynomial degree disagrees with n")
@@ -423,26 +427,25 @@ def _unit_and_basis(alg) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def trace_data(c: Configuration) -> TraceData:
-    """Gram matrix and dual-basis coordinates for the trace pairing."""
+def _trace_gram(c: Configuration):
+    """The algebra of ``c``, its trace-zero basis and the trace Gram matrix on it."""
     alg = _algebra_of(c)
     basis = _unit_and_basis(alg)
-    n = alg.n
-    gram = QMatrix(
-        [[alg.trace(alg.mult(basis[u], basis[v])) for v in range(n)] for u in range(n)]
-    )
+    gram = QMatrix([[alg.trace(alg.mult(bu, bv)) for bv in basis] for bu in basis])
+    return alg, basis, gram
+
+
+def trace_data(c: Configuration) -> TraceData:
+    """Gram matrix and dual-basis coordinates for the trace pairing."""
+    _, _, gram = _trace_gram(c)
     return TraceData(gram=gram, dual=gram.inverse())
 
 
 def coordinate_ring_table(c: Configuration) -> MultiplicationTable:
     """Multiplication table of the coordinate ring on the trace-dual basis
     1, alpha*_1, ..., alpha*_{n-1} of the embedding basis."""
-    alg = _algebra_of(c)
-    basis = _unit_and_basis(alg)
+    alg, basis, gram = _trace_gram(c)
     n = alg.n
-    gram = QMatrix(
-        [[alg.trace(alg.mult(basis[u], basis[v])) for v in range(n)] for u in range(n)]
-    )
     if gram.det() == 0:
         raise InputError("degenerate trace form; algebra is not etale")
     dual = gram.inverse()

@@ -326,7 +326,7 @@ def suite_table1(ns=(5, 6, 7), seed: int = 0, cases: int = 1) -> SuiteReport:
     for n in ns:
         r = table1_check(standard_resolution(n))
         rep.check(f"n={n} standard", r.ok, "; ".join(r.failures[:3]))
-        rng = random.Random((seed, n, "table1").__hash__())
+        rng = random.Random(f"{seed}:{n}:table1")
         for case in range(cases):
             cfg = random_points_config(n, rng)
             r = table1_check(build_resolution(cfg))
@@ -351,7 +351,7 @@ def _endtoend_once(rep: SuiteReport, label: str, cfg: Configuration) -> None:
 def suite_endtoend(ns=(4, 5, 6, 7), seed: int = 0, cases: int = 3) -> SuiteReport:
     rep = SuiteReport("endtoend")
     for n in ns:
-        rng = random.Random((seed, n, "endtoend").__hash__())
+        rng = random.Random(f"{seed}:{n}:endtoend")
         for case in range(cases):
             cfg = random_points_config(n, rng)
             _endtoend_once(rep, f"n={n} random #{case}", cfg)
@@ -366,7 +366,7 @@ def suite_endtoend(ns=(4, 5, 6, 7), seed: int = 0, cases: int = 3) -> SuiteRepor
 
 def suite_classical(seed: int = 0, cases: int = 50) -> SuiteReport:
     rep = SuiteReport("classical")
-    rng = random.Random((seed, "classical").__hash__())
+    rng = random.Random(f"{seed}:classical")
     anchor = ldf_equivalence_check(BinaryCubic.of(1, 0, -1, -1))
     rep.check("cubic (1,0,-1,-1) relations", anchor.relations_ok)
     rep.check("cubic (1,0,-1,-1) discriminant -23",

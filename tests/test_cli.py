@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,74 @@ def test_emitted_table_round_trips(capsys):
     again = T.to_json()
     for key in ("n", "c0", "c"):
         assert again[key] == data[key]
+
+
+def _subprocess_env(**extra):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+_STD4_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["disc", "--cubic", "1", "x", "0", "1"], None),
+    (["classical", "cubic", "1", "x", "0", "1"], None),
+    (["verify", "--n", "abc"], None),
+    (["verify", "--n", "4.."], None),
+    (["resolve", "{file}"], b'{"kind": "etale", "n": 3, "f": ["-1", "-1", "0", "1"], "note": "\xff"}'),
+    (["resolve", "{file}"], json.dumps({"kind": "etale", "n": 3, "f": ["1/2", "-1", "0", "1"]}).encode()),
+    (["resolve", "{file}"], json.dumps({"kind": "points", "n": 4}).encode()),
+    (["resolve", "{file}"], json.dumps({"kind": "points", "n": 5, "points": _STD4_POINTS}).encode()),
+], ids=["disc-cubic-literal", "classical-cubic-literal", "verify-n-word", "verify-n-open-range",
+        "not-utf8", "etale-fraction-coefficient", "points-missing", "points-n-mismatch"])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "resrings.cli"] + [a.format(file=path) for a in argv],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+
+
+# Runs each seeded suite on small sizes and prints every configuration it drew.
+_DRAW = r"""
+import json
+from resrings import suites
+
+drawn = []
+
+
+def record(name, show):
+    fn = getattr(suites, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        drawn.append([name, show(out if name == "random_points_config" else args[0])])
+        return out
+
+    setattr(suites, name, wrapper)
+
+
+record("random_points_config", lambda cfg: cfg.to_json())
+record("ldf_equivalence_check", lambda f: [str(f.a), str(f.b), str(f.c), str(f.d)])
+record("pfaffian_shape_check", lambda Phi: Phi.to_json())
+suites.suite_table1(ns=(5,), seed=3, cases=2)
+suites.suite_endtoend(ns=(4,), seed=3, cases=2)
+suites.suite_classical(seed=3, cases=10)
+print(json.dumps(drawn))
+"""
+
+
+def test_suite_draws_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _DRAW], env=_subprocess_env(PYTHONHASHSEED=hash_seed),
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(json.loads(proc.stdout))
+    kinds = {name for name, _ in outputs[0]}
+    assert kinds == {"random_points_config", "ldf_equivalence_check", "pfaffian_shape_check"}
+    assert outputs[0] == outputs[1]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from resrings.brackets import omega
+from resrings.brackets import OmegaTensor, omega
 from resrings.classical import BinaryCubic
 from resrings.configs import (
     coordinate_ring_table,
@@ -24,15 +24,13 @@ from resrings.ringalg import (
     table1_check,
     verify_table,
 )
-from resrings.symcore import QMatrix
+from resrings.symcore import Polynomial, QMatrix
 
 
 def normalized_standard_omega(n, std_res):
     """Omega of the standard configuration rescaled to n x_i^2 - 2 x_i sum."""
     Om = omega(std_res(n))
     i0 = next(iter(Om.forms[0].terms))
-    from resrings.symcore import Polynomial
-
     xs = [Polynomial.variable(n - 1, j) for j in range(1, n)]
     target = n * xs[0] * xs[0] - 2 * xs[0] * sum(xs[1:], xs[0])
     ratio = Om.forms[0].terms[i0] / target.terms[i0]
@@ -101,6 +99,32 @@ def test_verify_table_detects_perturbation(std_res):
     rep = verify_table(broken)
     assert not rep.associative
     assert rep.witness
+
+
+@pytest.mark.parametrize("make", [lambda: standard_config(4), lambda: standard_config(5),
+                                  lambda: from_etale("t^5-t-1")], ids=["std4", "std5", "t^5-t-1"])
+def test_verify_table_detects_each_c0_perturbation(make):
+    # associativity alone must catch a wrong c0_ij: there is no separate c0 check
+    T = coordinate_ring_table(make())
+    m = T.n - 1
+    for i in range(m):
+        for j in range(i, m):
+            c0 = [list(row) for row in T.c0]
+            c0[i][j] += 1
+            if i != j:
+                c0[j][i] += 1
+            rep = verify_table(MultiplicationTable(T.n, c0, T.c))
+            assert not rep.associative, (i, j)
+            assert rep.witness
+
+
+def test_structure_constants_rejects_inconsistent_omega(std_res):
+    # x1*x2 in Omega_1 makes the c0 values read from different auxiliary indices disagree
+    Om = omega(std_res(5))
+    x1, x2 = Polynomial.variable(4, 1), Polynomial.variable(4, 2)
+    bad = OmegaTensor(5, (Om.forms[0] + x1 * x2,) + Om.forms[1:])
+    with pytest.raises(InputError):
+        structure_constants(bad, "hessian")
 
 
 def test_verify_table_passes_constructions(rng):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,16 @@ def test_modular_nullspace_matches_exact(rng):
         red, piv = M.rref()
         exact = _nullspace_from_rref(red, piv, M.cols)
         assert modular_nullspace(M) == exact
+
+
+def test_rational_reconstruction_past_float_range():
+    # 40 primes near 2^30 make a modulus above 2^1024, beyond any float
+    from resrings._modnull import _is_prime, _rat_reconstruct
+
+    primes = list(islice(filter(_is_prime, range((1 << 30) - 1, 1 << 29, -2)), 40))
+    m = prod(primes)
+    assert m > 1 << 1100
+    assert _rat_reconstruct(-7 * pow(3, -1, m) % m, m) == Fraction(-7, 3)
 
 
 def test_polymatrix_product_grading():
