@@ -11,6 +11,7 @@ from .classical import (
     quartic_identities_check,
 )
 from .configs import (
+    MAX_N,
     Configuration,
     coordinate_ring_table,
     evaluation_matrix,

@@ -1,27 +1,32 @@
-"""Verified multi-modular nullspace acceleration.
+"""Certified multi-modular nullspace.
 
 The reduced row echelon form of a matrix over Q is unique, so the canonical
 kernel basis it induces is a property of the matrix alone.  This module
-computes that basis fast: eliminate modulo 30-bit primes with numpy,
-reconstruct rational entries by CRT + rational reconstruction, then verify
-M @ N = 0 exactly over Z.
+computes that basis: eliminate modulo 30-bit primes with numpy, reconstruct
+rational entries by CRT + rational reconstruction, then verify M @ N = 0
+exactly over Z.
 
 Soundness does not rest on the primes being lucky.  A mod-p elimination
 certifies rank(Q) >= rank(p), so k = cols - rank(p) verified independent
 kernel vectors pin the kernel dimension to exactly k, and the unit pattern
-of the candidate basis forces it to be the canonical one.  Any failure
-(bad prime, reconstruction miss) is detected and reported as None so the
-caller can fall back to exact elimination.
+of the candidate basis forces it to be the canonical one.
+
+Termination.  Only finitely many primes are bad (they divide a nonzero minor
+that decides a pivot).  Any prime gives a rank no larger than over Q and, at
+equal rank, pivots no earlier; a good prime gives the pivots over Q, so the
+first good prime fixes the pivot structure kept from then on.  The modulus
+then grows until rational reconstruction recovers every entry and the exact
+check passes, after O(log of a Hadamard bound of M) primes: far fewer than
+the 30-bit primes there are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
-
-_MAX_PRIMES = 30
 
 
 def _is_prime(n: int) -> bool:
@@ -47,31 +52,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes() -> list[int]:
-    out = []
-    n = (1 << 30) - 1
-    while len(out) < _MAX_PRIMES:
-        if _is_prime(n):
-            out.append(n)
-        n -= 2
-    return out
-
-
-_PRIMES = _primes()
+def _primes():
+    """30-bit primes, largest first."""
+    return filter(_is_prime, count((1 << 30) - 1, -2))
 
 
 def _integer_rows(M) -> list[list[int]]:
     """Scale each row to coprime integers; row scaling preserves the RREF."""
     rows = []
     for row in M.entries:
-        den = lcm(*(v.denominator for v in row)) if row else 1
+        den = lcm(*(v.denominator for v in row))
         ints = [int(v * den) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
+        g = gcd(*ints)
+        rows.append([v // g for v in ints] if g > 1 else ints)
     return rows
 
 
@@ -148,30 +141,21 @@ def _verify_kernel(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     return True
 
 
-def modular_nullspace(M) -> list[tuple[Fraction, ...]] | None:
-    """Canonical nullspace basis of a QMatrix, or None if not certified."""
+def modular_nullspace(M) -> list[tuple[Fraction, ...]]:
+    """Canonical nullspace basis of a QMatrix, certified by exact verification."""
     rows = _integer_rows(M)
     ncols = M.cols
-
-    best_pivots: list[int] | None = None
-    residues: list[list[int]] = []  # per kernel column, flat entries
-    modulus = 1
-
-    for p in _PRIMES:
+    best_key = None  # (-rank, pivots) of the pivot structure being accumulated
+    for p in _primes():
         red, pivots = _rref_mod_p(rows, p)
-        if best_pivots is None or len(pivots) > len(best_pivots):
-            # higher mod-p rank always wins; restart accumulation
-            best_pivots = pivots
-            residues = []
-            modulus = 1
-        elif pivots != best_pivots:
-            continue  # bad prime for the current candidate structure
-        kernel_p = _kernel_mod_p(red, best_pivots, ncols, p)
-        if not residues:
-            residues = [[v % p for v in col] for col in kernel_p]
-            modulus = p
+        key = (-len(pivots), pivots)
+        if best_key is not None and key > best_key:
+            continue  # bad prime: lower rank, or later pivots at equal rank
+        kernel_p = _kernel_mod_p(red, pivots, ncols, p)
+        if key != best_key:  # closer to the structure over Q: restart
+            best_key, residues, modulus = key, kernel_p, p
         else:
-            inv = pow(modulus % p, p - 2, p)
+            inv = pow(modulus, -1, p)
             for col, col_p in zip(residues, kernel_p):
                 for idx, (x, r) in enumerate(zip(col, col_p)):
                     col[idx] = x + modulus * ((r - x) * inv % p)
@@ -192,4 +176,3 @@ def modular_nullspace(M) -> list[tuple[Fraction, ...]] | None:
             candidate.append(vec)
         if ok and _verify_kernel(rows, candidate):
             return [tuple(col) for col in candidate]
-    return None

@@ -23,7 +23,7 @@ from .classical import (
     pfaffian_shape_check,
     quartic_identities_check,
 )
-from .configs import Configuration, coordinate_ring_table, from_etale, standard_config
+from .configs import Configuration, check_size, coordinate_ring_table, from_etale, standard_config
 from .errors import InconsistencyError, InputError
 from .resolution import build_resolution, integerize, validate
 from .ringalg import (
@@ -70,17 +70,17 @@ def _load_config(args) -> Configuration:
 def _parse_ns(spec: str | None) -> tuple[int, ...] | None:
     if spec is None:
         return None
-    out: list[int] = []
+    bounds: list[tuple[int, int]] = []
     try:
         for part in spec.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, hi = part.split("..") if ".." in part else (part, part)
+            bounds.append((int(lo), int(hi)))
     except ValueError as exc:
         raise InputError(f"bad n range {spec!r}") from exc
+    for lo, hi in bounds:  # before any range is expanded
+        check_size(lo)
+        check_size(hi)
+    out = [n for lo, hi in bounds for n in range(lo, hi + 1)]
     if not out:
         raise InputError(f"empty n range {spec!r}")
     return tuple(out)

@@ -19,6 +19,8 @@ from .ringalg import MultiplicationTable
 from .symcore import Polynomial, QMatrix, monomials_of_degree, nullspace, rational_from_json
 
 __all__ = [
+    "MAX_N",
+    "check_size",
     "Configuration",
     "TraceData",
     "standard_config",
@@ -98,6 +100,16 @@ def _power_traces(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # configurations
 
+# the largest n accepted: at n = 8 the last syzygy system is 5376 x 560 and
+# the standard build takes about 11 s on one core of a 2-vCPU virtual machine
+MAX_N = 8
+
+
+def check_size(n: int) -> None:
+    """Reject a rank n outside 3..MAX_N before anything of that size is built."""
+    if not 3 <= n <= MAX_N:
+        raise InputError(f"n = {n} is outside 3 <= n <= MAX_N = {MAX_N}")
+
 
 class Configuration:
     """Either n rational points in P^(n-2) or an etale presentation Q[t]/(f)."""
@@ -173,8 +185,7 @@ def _normalize_point(pt: Sequence) -> tuple[Fraction, ...]:
 def points_config(points: Sequence[Sequence]) -> Configuration:
     """Configuration from explicit homogeneous coordinates (normalized on ingestion)."""
     n = len(points)
-    if n < 3:
-        raise InputError("need at least 3 points")
+    check_size(n)
     pts = []
     for pt in points:
         if len(pt) != n - 1:
@@ -185,8 +196,7 @@ def points_config(points: Sequence[Sequence]) -> Configuration:
 
 def standard_config(n: int) -> Configuration:
     """The n coordinate points of P^(n-2) together with (1:1:...:1)."""
-    if n < 3:
-        raise InputError("standard configuration needs n >= 3")
+    check_size(n)
     pts = [[Fraction(int(i == j)) for j in range(n - 1)] for i in range(n - 1)]
     pts.append([Fraction(1)] * (n - 1))
     return points_config(pts)
@@ -209,7 +219,7 @@ def general_position_check(c: Configuration) -> tuple[bool, tuple[int, ...] | No
 
 
 def parse_monic_integer_poly(text: str) -> list[int]:
-    """Parse a monic integer polynomial in t, e.g. "t^4-t-1", to ascending coefficients."""
+    """Parse a monic integer polynomial in t of degree 3..MAX_N to ascending coefficients."""
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise InputError("empty polynomial")
@@ -233,6 +243,7 @@ def parse_monic_integer_poly(text: str) -> list[int]:
             exp = int(exp_s) if exp_s else 1
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     deg = max(coeffs)
+    check_size(deg)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]
     return out
 
@@ -241,10 +252,9 @@ def from_etale(f: Sequence[int] | str) -> Configuration:
     """Configuration of Spec Q[t]/(f) embedded by the canonical trace-zero basis."""
     if isinstance(f, str):
         f = parse_monic_integer_poly(f)
+    n = len(f) - 1
+    check_size(n)
     coeffs = [int(v) for v in f]
-    n = len(coeffs) - 1
-    if n < 3:
-        raise InputError("etale configurations need degree >= 3")
     if coeffs[-1] != 1:
         raise InputError("polynomial must be monic")
     fq = [Fraction(v) for v in coeffs]
@@ -477,6 +487,7 @@ def coordinate_ring_table(c: Configuration) -> MultiplicationTable:
 def random_points_config(n: int, rng: random.Random, bound: int = 4, max_tries: int = 2000) -> Configuration:
     """Seeded random configuration with small integer coordinates, rejection
     sampled to general position."""
+    check_size(n)
     for _ in range(max_tries):
         pts = []
         for _ in range(n):

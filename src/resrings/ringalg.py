@@ -196,21 +196,18 @@ def structure_constants(Om: OmegaTensor, scale: str) -> MultiplicationTable:
 
         c0_ij = sum_r (c^r_jk c^k_ri - c^r_ij c^k_rk),
 
-    which is read here from the first such k.  The finished table is then
+    which is read here from the first such k.  The "hessian" table is then
     checked once with :func:`verify_table`; that check covers every other
     choice of k, so an omega tensor whose auxiliary indices disagree raises
-    InputError like any other non-associative one.  Callers need not verify
+    InputError like any other non-associative one.  The "bhargava" table is
+    its rescaling (see :func:`_bhargava_rescale`).  Callers need not verify
     the returned table again.
     """
+    if scale not in ("hessian", "bhargava"):
+        raise InputError(f"unknown scale {scale!r}")
     n = Om.n
     m = n - 1
-    if scale == "hessian":
-        s = Fraction(1)
-    elif scale == "bhargava":
-        s = Fraction(1, 2 * n)
-    else:
-        raise InputError(f"unknown scale {scale!r}")
-    c = [[[s * Om.hessian_entry(k, i, j) for k in range(1, n)] for j in range(1, n)] for i in range(1, n)]
+    c = [[[Om.hessian_entry(k, i, j) for k in range(1, n)] for j in range(1, n)] for i in range(1, n)]
 
     c0 = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
@@ -220,11 +217,20 @@ def structure_constants(Om: OmegaTensor, scale: str) -> MultiplicationTable:
                 (c[j][k][r] * c[r][i][k] - c[i][j][r] * c[r][k][k] for r in range(m)), Fraction(0)
             )
 
-    table = MultiplicationTable(n, c0, c, basis_note="trace-zero", scale=scale)
+    table = MultiplicationTable(n, c0, c, basis_note="trace-zero", scale="hessian")
     report = verify_table(table)
     if not report.associative:
         raise InputError(f"omega tensor does not define an associative algebra: {report.witness}")
-    return table
+    return table if scale == "hessian" else _bhargava_rescale(table)
+
+
+def _bhargava_rescale(T: MultiplicationTable) -> MultiplicationTable:
+    """The "bhargava" table of a verified "hessian" one: on the basis alpha_i / 2n,
+    c^k scales by 1/2n and c0 by 1/4n^2, and associativity holds unchecked."""
+    s = Fraction(1, 2 * T.n)
+    c0 = [[s * s * v for v in row] for row in T.c0]
+    c = [[[s * v for v in vec] for vec in row] for row in T.c]
+    return MultiplicationTable(T.n, c0, c, basis_note=T.basis_note, scale="bhargava")
 
 
 def verify_table(T: MultiplicationTable) -> TableReport:
@@ -424,8 +430,9 @@ def integral_orders(F_int: "GradedFreeResolution") -> OrdersResult:
     constants after the cyclic normalization shear; checks integrality,
     associativity and the discriminant ratio (2n)^{2(n-1)} exactly.
 
-    B is verified by :func:`structure_constants`; only B', whose basis the
-    shear changed, is verified again here."""
+    B is verified by :func:`structure_constants`, and its (1/2n)-scaled
+    table is a rescaling of B; only B', whose basis the shear changed, is
+    verified again here."""
     n = F_int.n
     if n < 4:
         raise InputError("integral orders need n >= 4")
@@ -438,8 +445,7 @@ def integral_orders(F_int: "GradedFreeResolution") -> OrdersResult:
     B = structure_constants(Om, "hessian")
     if not B.is_integral():
         raise InconsistencyError("hessian-scale constants of an integral resolution must be integral")
-    Bp_raw = structure_constants(Om, "bhargava")
-    Bprime, s = normalize(Bp_raw, "cyclic")
+    Bprime, s = normalize(_bhargava_rescale(B), "cyclic")
     if not Bprime.is_integral():
         raise InconsistencyError("normalized (1/2n)-scale constants failed to be integral")
     if not verify_table(Bprime).associative:

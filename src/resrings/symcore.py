@@ -671,14 +671,11 @@ def nullspace(M: QMatrix) -> list[tuple[Fraction, ...]]:
 
     Each basis vector carries a unit entry at its free column and is
     supported on that column and earlier pivot columns; the list is ordered
-    by free column.  Large systems take a verified multi-modular shortcut
-    that returns bit-identical results.
+    by free column.  It is computed modulo primes and certified by an exact
+    check of M @ N = 0 (see :mod:`resrings._modnull`); the result equals the
+    one read off :meth:`QMatrix.rref`.
     """
-    if M.rows * M.cols >= 2000:
-        from ._modnull import modular_nullspace
+    # imported on first use: numpy takes longer to import than this package
+    from ._modnull import modular_nullspace
 
-        result = modular_nullspace(M)
-        if result is not None:
-            return result
-    red, pivots = M.rref()
-    return _nullspace_from_rref(red, pivots, M.cols)
+    return modular_nullspace(M)

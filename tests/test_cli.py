@@ -193,8 +193,13 @@ _STD4_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1
     (["resolve", "{file}"], json.dumps({"kind": "etale", "n": 3, "f": ["1/2", "-1", "0", "1"]}).encode()),
     (["resolve", "{file}"], json.dumps({"kind": "points", "n": 4}).encode()),
     (["resolve", "{file}"], json.dumps({"kind": "points", "n": 5, "points": _STD4_POINTS}).encode()),
+    (["resolve", "--standard", "200000"], None),
+    (["resolve", "--etale", "t^200000-t-1"], None),
+    (["verify", "--n", "4..1000000000000"], None),
+    (["verify", "--suite", "endtoend", "--n", "2"], None),
 ], ids=["disc-cubic-literal", "classical-cubic-literal", "verify-n-word", "verify-n-open-range",
-        "not-utf8", "etale-fraction-coefficient", "points-missing", "points-n-mismatch"])
+        "not-utf8", "etale-fraction-coefficient", "points-missing", "points-n-mismatch",
+        "standard-above-max-n", "etale-above-max-n", "verify-n-above-max-n", "verify-n-below-3"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     path = tmp_path / "input.json"
     if content is not None:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from resrings.configs import (
+    MAX_N,
     Configuration,
     coordinate_ring_table,
     evaluation_matrix,
@@ -108,6 +110,16 @@ def test_split_quartic_equivalent_to_standard():
         image = g.apply(p)
         lead = next(v for v in image if v)
         assert tuple(v / lead for v in image) == q
+
+
+@pytest.mark.parametrize("n", [2, MAX_N + 1])
+def test_size_limit_is_checked_before_building(n):
+    assert standard_config(MAX_N).n == MAX_N
+    for build in (lambda: standard_config(n), lambda: points_config([[1] * (n - 1)] * n),
+                  lambda: from_etale([-1, -1] + [0] * (n - 2) + [1]), lambda: from_etale(f"t^{n}-t-1"),
+                  lambda: random_points_config(n, random.Random(0))):
+        with pytest.raises(InputError, match="MAX_N"):
+            build()
 
 
 def test_parse_monic_integer_poly():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,17 @@ def test_validate_detects_constant_term(std_res):
     rep = validate(broken)
     failed = {name for name, ok, _ in rep.checks if not ok}
     assert "minimality" in failed
+
+
+def test_build_needs_no_fraction_elimination(monkeypatch):
+    # coordinates up to 1000 need more than 30 primes on the 135x80 system;
+    # the modular nullspace must finish without QMatrix.rref
+    def refuse(self):
+        raise AssertionError("QMatrix.rref called")
+
+    monkeypatch.setattr(QMatrix, "rref", refuse)
+    F = build_resolution(random_points_config(6, random.Random(7), bound=1000))
+    assert F.ranks == resolution_ranks(6)
 
 
 def test_determinism(rng):

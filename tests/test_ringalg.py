@@ -15,6 +15,7 @@ from resrings.resolution import build_resolution, integerize
 from resrings.ringalg import (
     MultiplicationTable,
     ShearTransform,
+    _bhargava_rescale,
     discriminant,
     integral_orders,
     isomorphic_up_to_scalar,
@@ -69,6 +70,34 @@ def test_structure_constants_trace_zero(rng):
         T = structure_constants(omega(F), "hessian")
         for k in range(1, n):
             assert T.basis_trace(k) == 0
+
+
+def _bhargava_table_from_hessians(Om):
+    """The (1/2n)-scale table computed directly: scaled Hessians, c0 from the recovery sum."""
+    n, m = Om.n, Om.n - 1
+    s = Fraction(1, 2 * n)
+    c = [[[s * Om.hessian_entry(k, i, j) for k in range(1, n)] for j in range(1, n)] for i in range(1, n)]
+    c0 = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        k = 1 if i == 0 else 0
+        for j in range(i, m):
+            c0[i][j] = c0[j][i] = sum(
+                (c[j][k][r] * c[r][i][k] - c[i][j][r] * c[r][k][k] for r in range(m)), Fraction(0)
+            )
+    return MultiplicationTable(n, c0, c, basis_note="trace-zero", scale="bhargava")
+
+
+@pytest.mark.parametrize("make", [lambda: standard_config(4), lambda: standard_config(5),
+                                  lambda: from_etale("t^5-t-1"), lambda: from_etale("t^6-t-1")],
+                         ids=["std4", "std5", "t^5-t-1", "t^6-t-1"])
+def test_bhargava_table_is_the_rescaled_hessian_table(make):
+    F_int, _ = integerize(build_resolution(make()))
+    Om = omega(F_int)
+    direct = _bhargava_table_from_hessians(Om)
+    assert structure_constants(Om, "bhargava").to_json() == direct.to_json()
+    res = integral_orders(F_int)
+    assert _bhargava_rescale(res.B).to_json() == direct.to_json()
+    assert res.Bprime == normalize(direct, "cyclic")[0]
 
 
 def test_structure_constants_scale_relation(std_res):

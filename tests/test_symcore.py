@@ -233,20 +233,38 @@ def test_inverse_and_solve(rng):
         QMatrix([[1, 1], [1, 1]]).inverse()
 
 
-def test_modular_nullspace_matches_exact(rng):
-    from resrings._modnull import modular_nullspace
+def test_modular_nullspace_matches_exact(rng, monkeypatch):
+    from resrings import _modnull
     from resrings.symcore import _nullspace_from_rref
 
-    for trial in range(5):
-        M = QMatrix(
-            [
-                [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(12)]
-                for _ in range(8)
-            ]
-        )
+    primes = []
+    rref_mod_p = _modnull._rref_mod_p
+
+    def counted(rows, p):
+        primes.append(p)
+        return rref_mod_p(rows, p)
+
+    monkeypatch.setattr(_modnull, "_rref_mod_p", counted)
+
+    matrices = [
+        QMatrix([[Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(12)] for _ in range(8)])
+        for _ in range(5)
+    ]
+    # the 6x6 minors of entries near 10^40 need more than 30 primes
+    big = QMatrix([[rng.randint(-10**40, 10**40) for _ in range(8)] for _ in range(6)])
+    matrices += [
+        big,
+        QMatrix.zero(3, 5),
+        QMatrix([[1, 2, 0], [0, 1, 3], [4, 0, 1], [2, 2, 2]]),  # full column rank
+        QMatrix([[0, Fraction(3, 7), -2, 5]]),
+    ]
+    for M in matrices:
+        primes.clear()
         red, piv = M.rref()
-        exact = _nullspace_from_rref(red, piv, M.cols)
-        assert modular_nullspace(M) == exact
+        assert _modnull.modular_nullspace(M) == _nullspace_from_rref(red, piv, M.cols)
+        if M is big:
+            assert len(primes) > 30
+    assert _modnull.modular_nullspace(matrices[-2]) == []
 
 
 def test_rational_reconstruction_past_float_range():
