@@ -4,12 +4,19 @@ The reduced row echelon form of a matrix over Q is unique, so the canonical
 kernel basis it induces is a property of the matrix alone.  This module
 computes that basis: eliminate modulo 30-bit primes with numpy, reconstruct
 rational entries by CRT + rational reconstruction, then verify M @ N = 0
-exactly over Z.
+exactly over Z.  Matrices arrive as sparse rows of coprime integers
+(:class:`~resrings.symcore.SparseRows`); a QMatrix is converted first.
 
 Soundness does not rest on the primes being lucky.  A mod-p elimination
 certifies rank(Q) >= rank(p), so k = cols - rank(p) verified independent
 kernel vectors pin the kernel dimension to exactly k, and the unit pattern
 of the candidate basis forces it to be the canonical one.
+
+The same two-sided argument gives a kernel dimension without a kernel
+(:func:`kernel_dimension_is`): given k vectors already known to lie in the
+kernel, cols - rank(p) = k bounds the dimension by k from above, and the k
+vectors, if independent mod p, are independent over Q and bound it by k
+from below.  One prime suffices unless it divides a deciding minor.
 
 Termination.  Only finitely many primes are bad (they divide a nonzero minor
 that decides a pivot).  Any prime gives a rank no larger than over Q and, at
@@ -27,6 +34,8 @@ from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
+
+from .symcore import SparseRows
 
 
 def _is_prime(n: int) -> bool:
@@ -57,19 +66,16 @@ def _primes():
     return filter(_is_prime, count((1 << 30) - 1, -2))
 
 
-def _integer_rows(M) -> list[list[int]]:
-    """Scale each row to coprime integers; row scaling preserves the RREF."""
-    rows = []
-    for row in M.entries:
-        den = lcm(*(v.denominator for v in row))
-        ints = [int(v * den) for v in row]
-        g = gcd(*ints)
-        rows.append([v // g for v in ints] if g > 1 else ints)
-    return rows
+def _integer_rows(M) -> SparseRows:
+    """Sparse coprime-integer rows of a QMatrix, zero entries skipped."""
+    return SparseRows(M.cols, ({j: v for j, v in enumerate(row) if v} for row in M.entries))
 
 
-def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+def _rref_mod_p(system: SparseRows, p: int) -> tuple[np.ndarray, list[int]]:
+    a = np.zeros((system.rows, system.cols), dtype=np.int64)
+    a.flat[[i * system.cols + j for i, row in enumerate(system.entries) for j in row]] = [
+        v % p for row in system.entries for v in row.values()
+    ]
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -82,12 +88,13 @@ def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
         i = int(nz[0]) + r
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # rows r.. are zero left of c, so columns c.. are all that change
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
+        a[r, c:] = a[r, c:] * inv % p
         other = np.flatnonzero(a[:, c])
         other = other[other != r]
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            a[other, c:] = (a[other, c:] - np.outer(a[other, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
@@ -130,24 +137,33 @@ def _rat_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _verify_kernel(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+def _verify_kernel(system: SparseRows, basis: list[list[Fraction]]) -> bool:
     for col in basis:
         den = lcm(*(c.denominator for c in col))
-        w = [int(c * den) for c in col]
-        for row in sparse:
-            if sum(v * w[j] for j, v in row):
+        w = [c.numerator * (den // c.denominator) for c in col]
+        for row in system.entries:
+            if sum(v * w[j] for j, v in row.items()):
                 return False
     return True
 
 
+def kernel_dimension_is(system: SparseRows, witness: SparseRows) -> bool:
+    """One-prime certificate (see the module docstring) that the kernel of
+    ``system`` has dimension exactly ``witness.rows``, for witness rows that
+    lie in it.  False means only that this prime proves nothing."""
+    p = next(_primes())
+    k = witness.rows
+    return len(_rref_mod_p(witness, p)[1]) == k and system.cols - len(_rref_mod_p(system, p)[1]) == k
+
+
 def modular_nullspace(M) -> list[tuple[Fraction, ...]]:
-    """Canonical nullspace basis of a QMatrix, certified by exact verification."""
-    rows = _integer_rows(M)
+    """Canonical nullspace basis of a QMatrix or SparseRows, certified by
+    exact verification."""
+    system = M if isinstance(M, SparseRows) else _integer_rows(M)
     ncols = M.cols
     best_key = None  # (-rank, pivots) of the pivot structure being accumulated
     for p in _primes():
-        red, pivots = _rref_mod_p(rows, p)
+        red, pivots = _rref_mod_p(system, p)
         key = (-len(pivots), pivots)
         if best_key is not None and key > best_key:
             continue  # bad prime: lower rank, or later pivots at equal rank
@@ -174,5 +190,5 @@ def modular_nullspace(M) -> list[tuple[Fraction, ...]]:
             if not ok:
                 break
             candidate.append(vec)
-        if ok and _verify_kernel(rows, candidate):
+        if ok and _verify_kernel(system, candidate):
             return [tuple(col) for col in candidate]

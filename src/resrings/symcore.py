@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -33,6 +33,7 @@ __all__ = [
     "Polynomial",
     "PolyMatrix",
     "QMatrix",
+    "SparseRows",
     "monomials_of_degree",
     "monomial_index",
     "partial_derivative",
@@ -666,7 +667,30 @@ def _nullspace_from_rref(red: QMatrix, pivots: tuple[int, ...], ncols: int) -> l
     return basis
 
 
-def nullspace(M: QMatrix) -> list[tuple[Fraction, ...]]:
+class SparseRows:
+    """Sparse integer matrix: ``entries[i]`` maps the column of each nonzero
+    entry of row i to its value.
+
+    Built from rational rows (column -> nonzero Fraction), each scaled to
+    coprime integers.  Row scaling keeps the kernel and the reduced row
+    echelon form, so :func:`nullspace` takes it in place of the QMatrix.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, cols: int, rational_rows: Iterable[dict[int, Fraction]]):
+        entries = []
+        for row in rational_rows:
+            den = lcm(*(v.denominator for v in row.values()))
+            ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            g = gcd(*ints.values())
+            entries.append({j: v // g for j, v in ints.items()} if g > 1 else ints)
+        self.rows = len(entries)
+        self.cols = cols
+        self.entries = entries
+
+
+def nullspace(M: QMatrix | SparseRows) -> list[tuple[Fraction, ...]]:
     """Canonical basis of {v : Mv = 0}, as read off the reduced row echelon form.
 
     Each basis vector carries a unit entry at its free column and is

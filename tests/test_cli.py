@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resrings.cli import main
-from resrings.resolution import GradedFreeResolution
+from resrings.resolution import GradedFreeResolution, validate
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +253,34 @@ def test_suite_draws_do_not_depend_on_the_hash_seed():
     kinds = {name for name, _ in outputs[0]}
     assert kinds == {"random_points_config", "ldf_equivalence_check", "pfaffian_shape_check"}
     assert outputs[0] == outputs[1]
+
+
+# Coordinates mix zeros (sparser syzygy systems), small integers (degenerate
+# configurations) and integers up to 10^3 and 10^6 (many primes).
+_coordinates = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**3, 10**3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def _points_json(draw):
+    n = draw(st.integers(4, 6))
+    points = [draw(st.lists(_coordinates, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:  # a repeated point
+        points[draw(st.integers(1, n - 1))] = points[0]
+    return {"kind": "points", "n": n, "points": [[str(v) for v in pt] for pt in points]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points_json())
+def test_resolve_generated_points(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("points") / "points.json"
+    path.write_text(json.dumps(config))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["resolve", str(path)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        F = GradedFreeResolution.from_json(json.loads(out.getvalue())["resolution"])
+        assert validate(F).ok
+    else:
+        assert err.getvalue().startswith("input error:")

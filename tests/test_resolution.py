@@ -8,6 +8,10 @@ from resrings.configs import random_points_config, standard_config, from_etale
 from resrings.errors import InputError
 from resrings.resolution import (
     GradedFreeResolution,
+    _complex_check,
+    _exactness_check,
+    _grading_check,
+    _syzygy_system,
     betti_numbers,
     build_resolution,
     integerize,
@@ -17,7 +21,7 @@ from resrings.resolution import (
     transform_resolution,
     validate,
 )
-from resrings.symcore import Polynomial, PolyMatrix, QMatrix, linear_substitution
+from resrings.symcore import Polynomial, PolyMatrix, QMatrix, linear_substitution, nullspace
 
 
 def test_betti_formula_values():
@@ -258,3 +262,105 @@ def test_resolution_json_round_trip(std_res):
     F = std_res(5)
     assert GradedFreeResolution.from_json(F.to_json()) == F
     assert GradedFreeResolution.from_json(F.to_json()).scale == F.scale
+
+
+# ---------------------------------------------------------------------------
+# the one-prime exactness certificate
+
+
+def _exactness_by_nullspace(F):
+    """Kernel dimensions from the full certified nullspace at every step."""
+    graded, detail = _grading_check(F)
+    if not graded:
+        return False, f"skipped, grading failed first ({detail})"
+    for r in range(1, F.n - 2):
+        delta = F.twists[r + 1] - F.twists[r]
+        dim = len(nullspace(_syzygy_system(F.maps[r - 1], F.map_degree(r), delta)))
+        if dim != F.ranks[r + 1]:
+            return False, f"kernel of map {r} in degree {F.twists[r + 1]} has dimension {dim}, expected {F.ranks[r + 1]}"
+    return True, ""
+
+
+def _certificate_verdict(F, monkeypatch):
+    """(ok, detail) of _exactness_check and the number of full nullspaces it ran."""
+    from resrings import resolution
+
+    calls = []
+
+    def counted(system):
+        calls.append(system.rows)
+        return nullspace(system)
+
+    monkeypatch.setattr(resolution, "nullspace", counted)
+    verdict = _exactness_check(F, _complex_check(F)[0])
+    monkeypatch.undo()
+    return verdict, len(calls)
+
+
+def _with_map(F, r, entries):
+    maps = list(F.maps)
+    maps[r] = PolyMatrix(entries)
+    return GradedFreeResolution(F.n, F.ranks, F.twists, maps, F.scale)
+
+
+def test_exactness_certificate_on_builder_output(std_res, monkeypatch):
+    inputs = [std_res(n) for n in (4, 5, 6, 7)]
+    inputs += [build_resolution(random_points_config(n, random.Random(seed))) for n, seed in ((5, 11), (6, 12))]
+    for F in inputs:
+        verdict, full = _certificate_verdict(F, monkeypatch)
+        assert verdict == _exactness_by_nullspace(F) == (True, "")
+        assert full == 0  # one prime settled every step
+
+
+def test_exactness_certificate_falls_back_on_dependent_witness(std_res, monkeypatch):
+    # phi_2 with its second column equal to the first, and phi_3 = 0 so that
+    # the maps still form a complex: phi_2 is a dependent witness for the
+    # syzygies of phi_1, which keep their dimension; the syzygies of phi_2
+    # then grow, and the zero column of phi_3 is a dependent witness too
+    F = std_res(5)
+    entries = [list(row) for row in F.maps[1].entries]
+    for row in entries:
+        row[1] = row[0]
+    G = _with_map(_with_map(F, 1, entries), 2, [[Polynomial.zero(4)] for _ in range(5)])
+    assert _complex_check(G)[0]
+    verdict, full = _certificate_verdict(G, monkeypatch)
+    assert verdict == _exactness_by_nullspace(G)
+    assert verdict[1].startswith("kernel of map 2 ")  # map 1 passed
+    assert full == 2
+
+
+def test_exactness_certificate_reports_wrong_dimension(std_res, monkeypatch):
+    # one perturbed coefficient of phi_2 shrinks the syzygies of phi_2
+    F = std_res(6)
+    entries = [list(row) for row in F.maps[1].entries]
+    entries[0][0] = entries[0][0] + Polynomial.variable(5, 1)
+    G = _with_map(F, 1, entries)
+    verdict, full = _certificate_verdict(G, monkeypatch)
+    assert verdict == _exactness_by_nullspace(G)
+    assert not verdict[0] and "has dimension" in verdict[1]
+    assert full == 2
+
+
+def test_exactness_certificate_skips_ungraded(std_res, monkeypatch):
+    F = std_res(5)
+    entries = [list(row) for row in F.maps[1].entries]
+    entries[0][0] = entries[0][0] + Polynomial.variable(4, 1) ** 2
+    G = _with_map(F, 1, entries)
+    verdict, full = _certificate_verdict(G, monkeypatch)
+    assert verdict == _exactness_by_nullspace(G)
+    assert not verdict[0] and verdict[1].startswith("skipped, grading failed first")
+    assert full == 0
+
+
+def test_exactness_certificate_after_failed_complex_check(std_res, monkeypatch):
+    # the sign-flip fixture of test_validate_detects_sign_flip
+    F = std_res(5)
+    entries = [list(row) for row in F.maps[1].entries]
+    entries[0][0] = -entries[0][0]
+    if entries[0][0].is_zero():
+        entries[0][1] = -entries[0][1]
+    G = _with_map(F, 1, entries)
+    assert not _complex_check(G)[0]
+    verdict, full = _certificate_verdict(G, monkeypatch)
+    assert verdict == _exactness_by_nullspace(G)
+    assert full >= 1
