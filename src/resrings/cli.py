@@ -2,8 +2,9 @@
 
 Subcommands: resolve, omega, table, disc, verify, classical.  All I/O is
 UTF-8 JSON on files or stdin/stdout.  Exit codes: 0 success, 2 malformed or
-out-of-domain input, 3 internal inconsistency (a guaranteed identity
-failed; must never happen on valid input).
+out-of-domain input (including an unwritable --out path), 3 internal
+inconsistency (a guaranteed identity failed; must never happen on valid
+input), 141 standard output closed before everything was written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,15 +46,18 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError, MemoryError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {str(exc) or type(exc).__name__}") from exc
 
 
 def _emit(data, out: str | None) -> None:
     text = json.dumps(data, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -299,7 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): drop the rest of the
+        # output and exit as a shell reports a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -101,7 +101,7 @@ def _power_traces(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
 # configurations
 
 # the largest n accepted: at n = 8 the last syzygy system is 5376 x 560 and
-# the standard build takes about 11 s on one core of a 2-vCPU virtual machine
+# the standard build takes about 1 s on one core of a 2-vCPU virtual machine
 MAX_N = 8
 
 

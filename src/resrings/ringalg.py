@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .brackets import OmegaTensor, brace, epsilon_ij, epsilon_ijk, omega
+from .brackets import IntegerView, OmegaTensor, epsilon_ij, epsilon_ijk, omega
 from .errors import InconsistencyError, InputError
 from .symcore import QMatrix, rational_from_json
 
@@ -246,22 +246,15 @@ def verify_table(T: MultiplicationTable) -> TableReport:
     """
     n = T.n
     basis = [tuple(Fraction(int(r == s)) for r in range(n)) for s in range(n)]
-
-    witness = None
-    associative = True
-    for i in range(n):
-        if not associative:
-            break
-        for j in range(n):
-            if not associative:
-                break
-            for k in range(n):
-                left = T.mult(T.mult(basis[i], basis[j]), basis[k])
-                right = T.mult(basis[i], T.mult(basis[j], basis[k]))
-                if left != right:
-                    associative = False
-                    witness = f"associativity fails at triple ({i},{j},{k})"
-                    break
+    # A triple containing the unit 1 = basis[0] holds by the construction of
+    # mult.  By commutativity (k, j, i) states the equation of (i, j, k), and
+    # (i, j, i) always holds, so scanning 1 <= i < k finds the first failing
+    # triple of the full scan.
+    prods = [[T.mult(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    failing = next(((i, j, k) for i in range(1, n) for j in range(1, n) for k in range(i + 1, n)
+                    if T.mult(prods[i][j], basis[k]) != T.mult(basis[i], prods[j][k])), None)
+    associative = failing is None
+    witness = None if associative else "associativity fails at triple ({},{},{})".format(*failing)
 
     trace_zero = all(T.basis_trace(i) == 0 for i in range(1, n))
     if not trace_zero and witness is None:
@@ -372,7 +365,8 @@ def table1_check(F: "GradedFreeResolution") -> Table1Report:
     n = F.n
     if n < 5:
         raise InputError("the general identities need n >= 5; use the quartic checks for n = 4")
-    Om = omega(F)
+    view, memo = IntegerView(F), {}
+    Om = view.omega(memo)
     sign_a = (-1) ** (n + 1)
     sign_c = (-1) ** n
     failures: list[str] = []
@@ -384,7 +378,7 @@ def table1_check(F: "GradedFreeResolution") -> Table1Report:
                 continue
             rest_ij = tuple(v for v in range(1, n) if v not in (i, j))
             lhs = Om.hessian_entry(j, i, i)
-            rhs = epsilon_ij(n, i, j) * 2 * n * brace(F, (i, i) + rest_ij + (i,))
+            rhs = epsilon_ij(n, i, j) * 2 * n * view.brace((i, i) + rest_ij + (i,), memo)
             if lhs != rhs:
                 failures.append(f"square identity fails at (i,j)=({i},{j})")
             for k in range(1, n):
@@ -393,17 +387,17 @@ def table1_check(F: "GradedFreeResolution") -> Table1Report:
                 checked += 1
                 rest = tuple(v for v in range(1, n) if v not in (i, j, k))
                 eps = epsilon_ijk(n, i, j, k)
-                if Om.hessian_entry(k, i, j) != sign_a * eps * 2 * n * brace(F, (i, i) + rest + (j, j)):
+                if Om.hessian_entry(k, i, j) != sign_a * eps * 2 * n * view.brace((i, i) + rest + (j, j), memo):
                     failures.append(f"mixed identity fails at ({i},{j},{k})")
                 lhs3 = Om.hessian_entry(j, i, j) - Om.hessian_entry(k, i, k)
-                if lhs3 != sign_c * eps * 2 * n * brace(F, (i, i) + rest + (j, k)):
+                if lhs3 != sign_c * eps * 2 * n * view.brace((i, i) + rest + (j, k), memo):
                     failures.append(f"difference identity fails at ({i},{j},{k})")
                 lhs4 = (
                     Om.hessian_entry(i, i, i)
                     - Om.hessian_entry(j, i, j)
                     - Om.hessian_entry(k, i, k)
                 )
-                if lhs4 != sign_a * eps * 2 * n * brace(F, (i, j) + rest + (k, i)):
+                if lhs4 != sign_a * eps * 2 * n * view.brace((i, j) + rest + (k, i), memo):
                     failures.append(f"diagonal identity fails at ({i},{j},{k})")
     return Table1Report(n, checked, tuple(failures))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ from resrings.brackets import (
     perm_sign,
 )
 from resrings.classical import BinaryCubic
+from resrings.configs import from_etale, random_points_config, standard_config, transform_between
 from resrings.errors import InputError
-from resrings.resolution import GradedFreeResolution
-from resrings.symcore import Polynomial, PolyMatrix, QMatrix
+from resrings.resolution import GradedFreeResolution, build_resolution
+from resrings.symcore import Polynomial, PolyMatrix, QMatrix, partial_derivative
 
 
 def example_2_4_resolution():
@@ -370,3 +372,110 @@ def test_indicator_identity_a_form(std_res, n):
         assert lhs == rhs, (n, a_part, b_part, i, j)
         lhs2 = _dd(double_bracket(F, word_j), i, i) + 2 * _dd(double_bracket(F, word_i), i, j)
         assert lhs2 == sign * ((-1) ** r) * 2 * n * A
+
+
+# ---------------------------------------------------------------------------
+# the integer contractions against the Fraction folds they replaced
+
+
+def _reference_calculus(F):
+    """bracket and brace as Fraction folds through dense derivative matrices."""
+    derivs = [[partial_derivative(phi, v) for v in range(1, F.n)] for phi in F.maps]
+    zero = (0,) * (F.n - 1)
+    consts = [
+        [QMatrix([[p.coefficient(zero) for p in row] for row in derivs[r - 1][v - 1].entries])
+         for v in range(1, F.n)]
+        for r in range(2, F.n - 2)
+    ]
+
+    def bracket_ref(w):
+        row = list(derivs[0][w[0] - 1].entries[0])
+        for r in range(2, F.n - 2):
+            M = consts[r - 2][w[r - 1] - 1]
+            row = [sum((row[i] * M.entries[i][j] for i in range(M.rows) if M.entries[i][j]),
+                       Polynomial.zero(F.n - 1)) for j in range(M.cols)]
+        col = derivs[F.n - 3][w[-1] - 1]
+        return sum((p * col.entries[i][0] for i, p in enumerate(row)), Polynomial.zero(F.n - 1))
+
+    def quadratic_rows(phi, i, j):
+        e = [0] * phi.num_vars
+        e[i - 1] += 1
+        e[j - 1] += 1
+        return [p.coefficient(e) for row in phi.entries for p in row]
+
+    def brace_ref(w):
+        row = QMatrix([quadratic_rows(F.maps[0], w[0], w[1])])
+        for t, a in enumerate(w[2:F.n - 2]):
+            row = row * consts[t][a - 1]
+        Q = quadratic_rows(F.maps[-1], w[-2], w[-1])
+        return sum((p * q for p, q in zip(row.entries[0], Q)), Fraction(0))
+
+    return bracket_ref, brace_ref
+
+
+def _table1_words(n):
+    """The brace words table1_check reads, and the bracket words of its omega."""
+    braces = []
+    for i in range(1, n):
+        for j in range(1, n):
+            if i == j:
+                continue
+            braces.append((i, i) + tuple(v for v in range(1, n) if v not in (i, j)) + (i,))
+            for k in range(1, n):
+                if len({i, j, k}) == 3:
+                    rest = tuple(v for v in range(1, n) if v not in (i, j, k))
+                    braces += [(i, i) + rest + (j, j), (i, i) + rest + (j, k), (i, j) + rest + (k, i)]
+    brackets = []
+    for j in range(1, n):
+        w = tuple(v for v in range(1, n) if v != j)
+        brackets += [w[s:] + w[:s] for s in range(n - 2)]
+    return braces, brackets
+
+
+@pytest.mark.parametrize("make", [lambda: standard_config(6), lambda: from_etale("t^7-t-1")],
+                         ids=["std6", "t^7-t-1"])
+def test_contractions_equal_the_fraction_folds(make):
+    F = build_resolution(make())
+    bracket_ref, brace_ref = _reference_calculus(F)
+    brace_words, bracket_words = _table1_words(F.n)
+    assert len(brace_words) == (F.n - 1) * (F.n - 2) * (1 + 3 * (F.n - 3))
+    for w in brace_words:
+        assert brace(F, w) == brace_ref(w), w
+    for w in bracket_words:
+        assert bracket(F, w) == bracket_ref(w), w
+
+
+def test_contractions_n4_equal_the_fraction_folds(std_res):
+    for F in (example_2_4_resolution(), std_res(4), build_resolution(from_etale("t^4-t-1"))):
+        bracket_ref, brace_ref = _reference_calculus(F)
+        for w in itertools.product(range(1, 4), repeat=2):
+            assert bracket(F, w) == bracket_ref(w)
+        for w in itertools.product(range(1, 4), repeat=4):
+            assert brace(F, w) == brace_ref(w)
+
+
+def test_calculus_rejects_inhomogeneous_maps(std_res):
+    F = std_res(5)
+    maps = list(F.maps)
+    maps[1] = PolyMatrix([[p + 1 if (i, j) == (0, 0) else p for j, p in enumerate(row)]
+                          for i, row in enumerate(maps[1].entries)])
+    bad = GradedFreeResolution(F.n, F.ranks, F.twists, maps, F.scale)
+    with pytest.raises(InputError, match="homogeneous"):
+        omega(bad)
+
+
+# ---------------------------------------------------------------------------
+# equivariance: omega of a configuration is the transported standard omega
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_omega_is_transported_from_the_standard_configuration(std_res, n):
+    c = random_points_config(n, random.Random(f"equivariance:{n}"))
+    h = transform_between(standard_config(n), c)
+    moved = gl_act(h.inverse().transpose(), omega(std_res(n)))
+    Om = omega(build_resolution(c))
+    ratios = {a / b for f, g in zip(Om.forms, moved.forms) for a, b in
+              ((f.terms.get(e, 0), g.terms.get(e, 0)) for e in set(f.terms) | set(g.terms))
+              if b}
+    assert len(ratios) == 1 and 0 not in ratios
+    assert Om == moved.scale(ratios.pop())

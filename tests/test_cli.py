@@ -201,18 +201,68 @@ _STD4_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1
     (["resolve", "--etale", "t^200000-t-1"], None),
     (["verify", "--n", "4..1000000000000"], None),
     (["verify", "--suite", "endtoend", "--n", "2"], None),
+    (["omega", "--standard", "4", "--out", "{dir}/missing/x.json"], None),
+    (["omega", "--standard", "4", "--out", "{dir}"], None),
+    (["resolve", "{file}"], b"[" * 100_000),
+    (["resolve", "{file}"], b'{"kind": "points", "n": ' + b"1" * 5000 + b"}"),
 ], ids=["disc-cubic-literal", "classical-cubic-literal", "verify-n-word", "verify-n-open-range",
         "not-utf8", "etale-fraction-coefficient", "points-missing", "points-n-mismatch",
-        "standard-above-max-n", "etale-above-max-n", "verify-n-above-max-n", "verify-n-below-3"])
+        "standard-above-max-n", "etale-above-max-n", "verify-n-above-max-n", "verify-n-below-3",
+        "out-in-missing-dir", "out-is-dir", "nested-arrays", "long-json-integer"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_bytes(content)
-    proc = subprocess.run([sys.executable, "-m", "resrings.cli"] + [a.format(file=path) for a in argv],
+    proc = subprocess.run([sys.executable, "-m", "resrings.cli"] + [a.format(file=path, dir=tmp_path) for a in argv],
                           env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_nested_arrays_on_stdin_exit_2():
+    proc = subprocess.run([sys.executable, "-m", "resrings.cli", "resolve", "-"], input="[" * 100_000,
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
+# Reads a JSON file of two million empty arrays with the address space capped
+# 64 MiB above what the interpreter has mapped after its imports.
+_OUT_OF_MEMORY = r"""
+import resource, sys
+from resrings.cli import main
+
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["resolve", sys.argv[1]]))
+"""
+
+
+def test_out_of_memory_while_reading_exits_2(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text("[" + "[]," * 2_000_000 + "[]]")
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY, str(path)], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and "MemoryError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the output (about 300 kB) outgrows the pipe, so the write after the close fails
+    proc = subprocess.Popen([sys.executable, "-m", "resrings.cli", "resolve", "--standard", "7"],
+                            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b""
 
 
 # Runs each seeded suite on small sizes and prints every configuration it drew.

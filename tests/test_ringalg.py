@@ -147,6 +147,47 @@ def test_verify_table_detects_each_c0_perturbation(make):
             assert rep.witness
 
 
+def _full_scan_witness(T):
+    """The first failing triple of associativity over all n^3 basis triples."""
+    n = T.n
+    basis = [tuple(Fraction(int(r == s)) for r in range(n)) for s in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = T.mult(T.mult(basis[i], basis[j]), basis[k])
+                right = T.mult(basis[i], T.mult(basis[j], basis[k]))
+                if left != right:
+                    return f"associativity fails at triple ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize("make", [lambda: standard_config(5), lambda: from_etale("t^5-t-1")],
+                         ids=["std5", "t^5-t-1"])
+def test_verify_table_witness_matches_full_scan(make):
+    # the scan skips triples with the unit and triples (i,j,k) with i >= k
+    T = coordinate_ring_table(make())
+    m = T.n - 1
+    tables = []
+    for i in range(m):
+        for j in range(i, m):
+            c0 = [list(row) for row in T.c0]
+            c0[i][j] += 1
+            c0[j][i] = c0[i][j]
+            tables.append(MultiplicationTable(T.n, c0, T.c))
+            for k in range(m):
+                c = [[list(vec) for vec in row] for row in T.c]
+                c[i][j][k] += 1
+                c[j][i][k] = c[i][j][k]
+                tables.append(MultiplicationTable(T.n, T.c0, c))
+    assert len(tables) == m * (m + 1) // 2 * (m + 1)
+    for table in tables:
+        rep = verify_table(table)
+        expected = _full_scan_witness(table)
+        assert rep.associative == (expected is None)
+        if expected is not None:
+            assert rep.witness == expected
+
+
 def test_structure_constants_rejects_inconsistent_omega(std_res):
     # x1*x2 in Omega_1 makes the c0 values read from different auxiliary indices disagree
     Om = omega(std_res(5))
