@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError
-from .symcore import Polynomial, QMatrix
+from .symcore import Polynomial, QMatrix, integer_terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .resolution import GradedFreeResolution
@@ -84,14 +84,12 @@ def epsilon_ijk(n: int, i: int, j: int, k: int) -> int:
 
 
 def _integer_terms(polys: Sequence[Polynomial], degree: int, name: str) -> tuple[int, list[dict]]:
-    """The polynomials' terms as integer numerators over one common denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    out = []
+    """The polynomials' terms as integer numerators over one common
+    denominator, after checking that they are forms of the given degree."""
     for p in polys:
         if not p.is_homogeneous(degree):
             raise InputError(f"the entries of {name} must be homogeneous of degree {degree}")
-        out.append({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()})
-    return den, out
+    return integer_terms(polys)
 
 
 def _quadratic_array(terms: list[dict], pairs: dict, m: int) -> list[list[list[int]]]:

@@ -156,7 +156,10 @@ class Configuration:
             if kind == "points":
                 pts = [[rational_from_json(v) for v in pt] for pt in data["points"]]
             elif kind == "etale":
-                coeffs = [int(v) for v in data["f"]]
+                coeffs = [rational_from_json(v) for v in data["f"]]
+                if any(c.denominator != 1 for c in coeffs):
+                    raise InputError("etale coefficients must be integers")
+                coeffs = [int(c) for c in coeffs]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad configuration JSON: {exc}") from exc
         if kind == "points":

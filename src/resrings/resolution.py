@@ -66,10 +66,10 @@ class GradedFreeResolution:
 
     ``maps[r-1]`` is the matrix of phi_r; ``scale`` records the factor that
     turned the canonical kernel vector of the last step into the primitive
-    integer column actually stored.
+    integer column actually stored.  The hash is computed once, on first use.
     """
 
-    __slots__ = ("n", "ranks", "twists", "maps", "scale")
+    __slots__ = ("n", "ranks", "twists", "maps", "scale", "_hash")
 
     def __init__(self, n: int, ranks: Sequence[int], twists: Sequence[int],
                  maps: Sequence[PolyMatrix], scale: Fraction = Fraction(1)):
@@ -88,6 +88,7 @@ class GradedFreeResolution:
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "scale", Fraction(scale))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedFreeResolution is immutable")
@@ -99,7 +100,9 @@ class GradedFreeResolution:
         )
 
     def __hash__(self):
-        return hash((self.n, self.ranks, self.twists, self.maps))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.ranks, self.twists, self.maps)))
+        return self._hash
 
     def map_degree(self, r: int) -> int:
         """Entry degree of phi_r (1-based)."""
@@ -290,13 +293,63 @@ def _grading_check(F: GradedFreeResolution) -> tuple[bool, str]:
     return True, ""
 
 
-def _complex_check(F: GradedFreeResolution) -> tuple[bool, str]:
-    for r in range(len(F.maps) - 1):
-        prod = F.maps[r] * F.maps[r + 1]
-        for i, row in enumerate(prod.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    return False, f"(map {r + 1})(map {r + 2}) has nonzero entry at ({i},{j})"
+_Systems = list[tuple[SparseRows, SparseRows]]
+
+
+def _product_systems(F: GradedFreeResolution) -> _Systems:
+    """(S_r, W_r) for every product phi_r phi_{r+1}, r = 1, ..., len(maps) - 1.
+
+    S_r is the syzygy system of phi_r in the degree of phi_{r+1} and W_r
+    holds the columns of phi_{r+1} as its kernel vectors, so S_r W_r^T is
+    the coefficient array of phi_r phi_{r+1}: entry (i L + t, j) is, up to
+    the nonzero scalings of SparseRows, the coefficient of the t-th monomial
+    of degree twists[r+1] - twists[r-1] in entry (i, j), where L counts
+    those monomials.  Both assume homogeneous entries of the map degrees.
+    """
+    out = []
+    for r in range(1, len(F.maps)):
+        delta = F.map_degree(r + 1)
+        out.append((_syzygy_system(F.maps[r - 1], F.map_degree(r), delta), _coefficient_rows(F.maps[r], delta)))
+    return out
+
+
+def _first_nonzero_entry(system: SparseRows, witness: SparseRows, block: int) -> tuple[int, int] | None:
+    """First (i, j) in row-major order at which S W^T has a nonzero entry in
+    rows i*block .. (i+1)*block - 1 and column j, in exact integers."""
+    by_col: list[list[tuple[int, int]]] = [[] for _ in range(system.cols)]
+    for j, w in enumerate(witness.entries):
+        for c, x in w.items():
+            by_col[c].append((j, x))
+    first = None
+    for k, row in enumerate(system.entries):
+        i = k // block
+        if first is not None and i > first[0]:
+            break
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            for j, x in by_col[c]:
+                acc[j] = acc.get(j, 0) + v * x
+        j = min((j for j, s in acc.items() if s), default=None)
+        if j is not None and (first is None or j < first[1]):
+            first = (i, j)
+    return first
+
+
+def _complex_check(F: GradedFreeResolution, systems: _Systems | None = None) -> tuple[bool, str]:
+    """phi_r phi_{r+1} = 0 for every r, decided by the exact integer product
+    S_r W_r^T of :func:`_product_systems` (``systems``, assembled here when
+    not given; a caller passes them only for an F that passed the grading
+    check).  Those arrays assume homogeneous entries, so a resolution that
+    fails the grading check is reported as skipped."""
+    if systems is None:
+        graded, detail = _grading_check(F)
+        if not graded:
+            return False, f"skipped, grading failed first ({detail})"
+        systems = _product_systems(F)
+    for r, (system, witness) in enumerate(systems, start=1):
+        cell = _first_nonzero_entry(system, witness, system.rows // F.maps[r - 1].rows)
+        if cell is not None:
+            return False, f"(map {r})(map {r + 1}) has nonzero entry at ({cell[0]},{cell[1]})"
     return True, ""
 
 
@@ -309,27 +362,31 @@ def _minimality_check(F: GradedFreeResolution) -> tuple[bool, str]:
     return True, ""
 
 
-def _exactness_check(F: GradedFreeResolution, is_complex: bool) -> tuple[bool, str]:
+def _exactness_check(F: GradedFreeResolution, is_complex: bool,
+                     systems: _Systems | None = None) -> tuple[bool, str]:
     """The syzygies of phi_r in degree twists[r+1] must have dimension
     ranks[r+1], for every interior r.
 
-    ``is_complex`` is the verdict of the complex check.  When it holds, the
-    columns of phi_{r+1} lie in that kernel exactly, and one prime p usually
-    settles the dimension (``_modnull.kernel_dimension_is``): the kernel has
-    dimension at most cols - rank_p(S_r), because rank_p <= rank_Q, and at
-    least ranks[r+1] when those columns are independent mod p.  When that
-    fails, the full certified nullspace gives the dimension.
+    ``is_complex`` is the verdict of the complex check, and ``systems`` the
+    S_r and W_r it read (see :func:`_product_systems`; assembled here when
+    not given, and given only for a graded F).  When it holds, the columns of phi_{r+1} lie in the kernel
+    of S_r exactly, and one prime p usually settles the dimension
+    (``_modnull.kernel_dimension_is``): the kernel has dimension at most
+    cols - rank_p(S_r), because rank_p <= rank_Q, and at least ranks[r+1]
+    when those columns are independent mod p.  When that fails, the full
+    certified nullspace gives the dimension.  Like the complex check, it is
+    skipped when the grading check fails.
     """
-    graded, detail = _grading_check(F)
-    if not graded:
-        return False, f"skipped, grading failed first ({detail})"
+    if systems is None:
+        graded, detail = _grading_check(F)
+        if not graded:
+            return False, f"skipped, grading failed first ({detail})"
+        systems = _product_systems(F)
     # imported on first use: numpy takes longer to import than this package
     from ._modnull import kernel_dimension_is
 
-    for r in range(1, F.n - 2):
-        delta = F.twists[r + 1] - F.twists[r]
-        system = _syzygy_system(F.maps[r - 1], F.map_degree(r), delta)
-        if is_complex and kernel_dimension_is(system, _coefficient_rows(F.maps[r], delta)):
+    for r, (system, witness) in enumerate(systems[: F.n - 3], start=1):
+        if is_complex and kernel_dimension_is(system, witness):
             continue
         dim = len(nullspace(system))
         if dim != F.ranks[r + 1]:
@@ -339,14 +396,22 @@ def _exactness_check(F: GradedFreeResolution, is_complex: bool) -> tuple[bool, s
 
 def validate(F: GradedFreeResolution) -> ResolutionReport:
     """Run every structural invariant: shape, grading, complex, minimality,
-    and exactness at the generator degrees."""
-    is_complex, complex_detail = _complex_check(F)
+    and exactness at the generator degrees.
+
+    One pass over the differentials: each syzygy system S_r and coefficient
+    array W_r is assembled once, and serves both the exact integer product
+    S_r W_r^T of the complex check and the one-prime exactness certificate.
+    A resolution that fails the grading check reports both as skipped.
+    """
+    grading = _grading_check(F)
+    systems = _product_systems(F) if grading[0] else None
+    is_complex, complex_detail = _complex_check(F, systems)
     return ResolutionReport((
         ("shape", *_shape_check(F)),
-        ("grading", *_grading_check(F)),
+        ("grading", *grading),
         ("complex", is_complex, complex_detail),
         ("minimality", *_minimality_check(F)),
-        ("exactness", *_exactness_check(F, is_complex)),
+        ("exactness", *_exactness_check(F, is_complex, systems)),
     ))
 
 

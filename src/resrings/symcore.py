@@ -19,9 +19,11 @@ Conventions fixed here and used by every other module:
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -49,11 +51,24 @@ def rational_to_json(q: Fraction) -> str:
     return str(q)
 
 
+_RATIONAL = re.compile(r"-?\d+(/\d+)?", re.ASCII)
+
+
 def rational_from_json(s: str | int) -> Fraction:
+    """Parse a string of the form ``-?\\d+(/\\d+)?``, or a JSON integer.
+
+    Anything else (exponents, decimals, underscores, spaces, floats, bools)
+    is bad input, echoed in at most 40 characters.
+    """
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {s!r}") from exc
+        if type(s) is int or (isinstance(s, str) and _RATIONAL.fullmatch(s)):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    echo = repr(s)
+    if len(echo) > 40:
+        echo = echo[:37] + "..."
+    raise InputError(f"bad rational literal {echo}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +346,12 @@ class Polynomial:
         return out
 
 
+def integer_terms(polys: Sequence[Polynomial]) -> tuple[int, list[dict[tuple[int, ...], int]]]:
+    """The polynomials' terms as integer numerators over one common denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return den, [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()} for p in polys]
+
+
 # ---------------------------------------------------------------------------
 # matrices of polynomials
 
@@ -376,18 +397,25 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise InputError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            return PolyMatrix(
-                [
-                    [
-                        sum(
-                            (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                            Polynomial.zero(self.num_vars),
-                        )
-                        for j in range(other.cols)
-                    ]
-                    for i in range(self.rows)
-                ]
-            )
+            # rows of self and columns of other over one denominator each, so
+            # that each entry accumulates integer terms in one dict
+            columns = [integer_terms(col) for col in zip(*other.entries)]
+            out = []
+            for row in self.entries:
+                den_row, row_terms = integer_terms(row)
+                out_row = []
+                for den_col, col_terms in columns:
+                    acc: dict[tuple[int, ...], int] = {}
+                    for p, q in zip(row_terms, col_terms):
+                        if p and q:
+                            for e1, c1 in p.items():
+                                for e2, c2 in q.items():
+                                    e = tuple(map(add, e1, e2))
+                                    acc[e] = acc.get(e, 0) + c1 * c2
+                    den = den_row * den_col
+                    out_row.append(Polynomial(self.num_vars, {e: Fraction(c, den) for e, c in acc.items()}))
+                out.append(out_row)
+            return PolyMatrix(out)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -188,6 +188,13 @@ def _subprocess_env(**extra):
 _STD4_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]
 
 
+def _std4_points_with(first):
+    """The standard n=4 points file with its first coordinate replaced."""
+    points = [list(pt) for pt in _STD4_POINTS]
+    points[0][0] = first
+    return json.dumps({"kind": "points", "n": 4, "points": points}).encode()
+
+
 @pytest.mark.parametrize("argv, content", [
     (["disc", "--cubic", "1", "x", "0", "1"], None),
     (["classical", "cubic", "1", "x", "0", "1"], None),
@@ -205,10 +212,18 @@ _STD4_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1
     (["omega", "--standard", "4", "--out", "{dir}"], None),
     (["resolve", "{file}"], b"[" * 100_000),
     (["resolve", "{file}"], b'{"kind": "points", "n": ' + b"1" * 5000 + b"}"),
+    (["resolve", "{file}"], _std4_points_with("1e400000")),
+    (["resolve", "{file}"], _std4_points_with("0.1")),
+    (["resolve", "{file}"], _std4_points_with("1_000")),
+    (["resolve", "{file}"], _std4_points_with(" 1")),
+    (["resolve", "{file}"], _std4_points_with(0.1)),
+    (["resolve", "{file}"], json.dumps({"kind": "etale", "n": 3, "f": [-1.5, -1, 0, 1]}).encode()),
 ], ids=["disc-cubic-literal", "classical-cubic-literal", "verify-n-word", "verify-n-open-range",
         "not-utf8", "etale-fraction-coefficient", "points-missing", "points-n-mismatch",
         "standard-above-max-n", "etale-above-max-n", "verify-n-above-max-n", "verify-n-below-3",
-        "out-in-missing-dir", "out-is-dir", "nested-arrays", "long-json-integer"])
+        "out-in-missing-dir", "out-is-dir", "nested-arrays", "long-json-integer",
+        "rational-exponent", "rational-decimal", "rational-underscore", "rational-space",
+        "rational-json-float", "etale-json-float"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     path = tmp_path / "input.json"
     if content is not None:
@@ -218,6 +233,30 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, content):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_bad_rational_is_echoed_in_at_most_40_characters(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(_std4_points_with("1" * 5000 + ".5"))
+    proc = subprocess.run([sys.executable, "-m", "resrings.cli", "resolve", str(path)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    echo = proc.stderr.strip().split("bad rational literal ", 1)[1]
+    assert echo.startswith("'111") and len(echo) <= 40
+
+
+def test_json_integers_are_rationals(capsys, tmp_path):
+    as_strings = tmp_path / "strings.json"
+    as_strings.write_bytes(_std4_points_with("2"))
+    as_integers = tmp_path / "integers.json"
+    as_integers.write_text(json.dumps({"kind": "points", "n": 4,
+                                       "points": [[2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}))
+    assert run_cli(capsys, "resolve", str(as_strings)) == run_cli(capsys, "resolve", str(as_integers))
+    for literal in (True, "+1", "1/0", "\u0661"):
+        as_other = tmp_path / "other.json"
+        as_other.write_bytes(_std4_points_with(literal))
+        code, _, err = run_cli(capsys, "resolve", str(as_other))
+        assert code == 2 and "bad rational literal" in err
 
 
 def test_nested_arrays_on_stdin_exit_2():

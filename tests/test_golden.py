@@ -17,6 +17,7 @@ from io import StringIO
 
 import pytest
 
+from resrings import cli
 from resrings.cli import main
 from resrings.configs import from_etale, random_points_config, standard_config
 from resrings.resolution import build_resolution
@@ -36,6 +37,28 @@ GOLDEN = {
     "points 5 5 1000000": "c53c70de42b4e8029ae2291359d188ae4ca214e9b551cca3eb57e96aec42509d",
     "points 6 6 1000": "66c971ccc47bc7e2851354a83fa3bdbcf94a14bbe5d16c89a5fed13b5e3554fa",
     "points 7 7 1": "518ad7d61cbde5437825ed69a4943c455fc90e0f3da04a151f3855cadd5fd158",
+    # five seeds for each n at the default bound 4, taken before validate read
+    # the complex check off the syzygy systems
+    "points 4 1 4": "fb12f81ca992af7c0197f905d1cfffcf4dc2f2117df8460e35b6ea29ba5ae03c",
+    "points 4 2 4": "d1196ad6e95fab9d9e8dca3acebcad614a2ac7b6d6cc763f9c55ac78085e1c3a",
+    "points 4 3 4": "0dae99452c7f132afb3b838524b74db18699b82441daac3841466dd483a2e149",
+    "points 4 4 4": "72fd7948b8622747317518707176b67b2ffb372f66b4f503801ecd6549517f2e",
+    "points 4 5 4": "fd62a37dc5a35c40eff9c14320a9385f7375699af6f61d06d96e3db81c827435",
+    "points 5 1 4": "85f3a93ed437529fbf781866c1a8ccc44c395fccb495abf5e86345ad53227e1e",
+    "points 5 2 4": "1c95891a257b11cde78804dc3d607660f335b785447c77adb2026ecdc161679e",
+    "points 5 3 4": "7ec206e1044cdd8a3abca61bd21a892342928e902e2e0e6649ac2542e1097856",
+    "points 5 4 4": "aa702a49acbec416a46b00da3f2126ca29c7b5c0bd66532fe83b6d5e1415034a",
+    "points 5 5 4": "0e003226c137429c97eee81d6433b08a9edc8fc2821f3ffcd89d6395b9497d40",
+    "points 6 1 4": "ef21cab8a020d6bab595b63c73df377949f2bca289e3762689e15ce2f42c51e8",
+    "points 6 2 4": "e4d74e587e63d2fc502b7475abd8ab2cd2dcfcb3935fc99c1cb8fdc2aa96254b",
+    "points 6 3 4": "5809976498b1d592a814ae9899e37cdfc472280fd0c2eea3c19efd4192a27509",
+    "points 6 4 4": "7f8ce9208aafd48aeb5303352379e7293b7e8a57ee7b57a6dc4fc0d1e0713d08",
+    "points 6 5 4": "81ef24272402d617ad5b50e4d06858cb345929314f8e1db7e08c24b6e78761eb",
+    "points 7 1 4": "8b113c33f9ede49e74ce8d9e306acfad332ea3dee90669b53b06fdb29491d8b2",
+    "points 7 2 4": "fd47b7efdbab794c83804010d52fe75d3f4fe5b957c443fc511b178ddf4e7c8c",
+    "points 7 3 4": "8e8b3bdbccb9e6dda02664cfbb315b4cde5c2ff37ba72a9e69b5a4cdf7816b42",
+    "points 7 4 4": "d73ea57ee97b1881868c3c2bc43c5c42aa5cf6cc212a87b93940e44fa12001f7",
+    "points 7 5 4": "f2b5c79918490e7aa75611864918cd2bdb92cbfef3b21d3aa64133866b5af1c4",
 }
 
 
@@ -118,6 +141,29 @@ CALCULUS_GOLDEN = {
     "table bhargava | points 7 7 1": "f5021bc402b9db568088c32fd1fef23134f3cf043694c986b4a32769fa15d02a",
     "disc orders | points 7 7 1": "20a6f638089f90e19f59ec630cd9cbf7a98e4ccff35b93ab25a760cced40840d",
 }
+
+
+@pytest.fixture(scope="module")
+def _memoized_build():
+    """build_resolution that builds each configuration once per module,
+    keyed on the configuration's JSON."""
+    memo = {}
+
+    def build(c):
+        key = json.dumps(c.to_json(), sort_keys=True)
+        if key not in memo:
+            memo[key] = build_resolution(c)
+        return memo[key]
+
+    return build
+
+
+@pytest.fixture(autouse=True)
+def _calculus_builds_once(request, monkeypatch, _memoized_build):
+    # the four calculus commands of one input share its resolution; the
+    # resolve goldens keep building fresh
+    if request.function.__name__ == "test_calculus_output_is_bit_identical":
+        monkeypatch.setattr(cli, "build_resolution", _memoized_build)
 
 
 @pytest.mark.parametrize("key", list(CALCULUS_GOLDEN))

@@ -10,6 +10,7 @@ from resrings.resolution import (
     GradedFreeResolution,
     _complex_check,
     _exactness_check,
+    _first_nonzero_entry,
     _grading_check,
     _syzygy_system,
     betti_numbers,
@@ -21,7 +22,15 @@ from resrings.resolution import (
     transform_resolution,
     validate,
 )
-from resrings.symcore import Polynomial, PolyMatrix, QMatrix, linear_substitution, nullspace
+from resrings.symcore import (
+    Polynomial,
+    PolyMatrix,
+    QMatrix,
+    SparseRows,
+    linear_substitution,
+    monomials_of_degree,
+    nullspace,
+)
 
 
 def test_betti_formula_values():
@@ -364,3 +373,133 @@ def test_exactness_certificate_after_failed_complex_check(std_res, monkeypatch):
     verdict, full = _certificate_verdict(G, monkeypatch)
     assert verdict == _exactness_by_nullspace(G)
     assert full >= 1
+
+
+# ---------------------------------------------------------------------------
+# the complex check read off the syzygy systems
+
+
+def _complex_check_by_product(F):
+    """The complex check as it was before it read S_r W_r: multiply the
+    Fraction polynomial matrices and scan each product in row-major order.
+    Entries are summed one at a time, so the scan stops at the first
+    nonzero entry, with the verdict of scanning the whole product."""
+    for r in range(len(F.maps) - 1):
+        A, B = F.maps[r], F.maps[r + 1]
+        for i in range(A.rows):
+            for j in range(B.cols):
+                entry = sum((A.entries[i][k] * B.entries[k][j] for k in range(A.cols)), Polynomial.zero(A.num_vars))
+                if not entry.is_zero():
+                    return False, f"(map {r + 1})(map {r + 2}) has nonzero entry at ({i},{j})"
+    return True, ""
+
+
+def _perturbed(F, r, i, j, exps, coeff):
+    entries = [list(row) for row in F.maps[r].entries]
+    entries[i][j] = entries[i][j] + Polynomial(F.n - 1, {exps: coeff})
+    return _with_map(F, r, entries)
+
+
+@pytest.mark.parametrize("n, r, sample", [(5, 1, None), (5, 0, None), (5, 2, None), (6, 2, 120)],
+                         ids=["n=5 phi_2", "n=5 phi_1", "n=5 phi_3", "n=6 phi_3 sampled"])
+def test_complex_check_matches_the_product_on_single_terms(std_res, n, r, sample):
+    # one term added to phi_{r+1} on a standard resolution: at every entry
+    # and every monomial of its degree, or at a seeded sample of them
+    F = std_res(n)
+    phi = F.maps[r]
+    cases = [(i, j, exps) for i in range(phi.rows) for j in range(phi.cols)
+             for exps in monomials_of_degree(n - 1, F.map_degree(r + 1))]
+    if sample:
+        cases = random.Random(n).sample(cases, sample)
+    failures = set()
+    for i, j, exps in cases:
+        G = _perturbed(F, r, i, j, exps, Fraction(1))
+        ok, detail = _complex_check(G)
+        assert (ok, detail) == _complex_check_by_product(G)
+        assert not ok
+        failures.add(detail)
+    assert len(failures) > 1
+
+
+def test_first_nonzero_entry_scans_products_in_row_major_order():
+    # S W^T with entry i covering rows 2i and 2i+1 of S: the smallest
+    # column is taken over the whole block, not from its first nonzero row
+    witness = SparseRows(2, [{1: Fraction(1)}, {0: Fraction(1)}])
+    system = SparseRows(2, [{0: Fraction(1)}, {1: Fraction(1)}, {}, {}])
+    assert _first_nonzero_entry(system, witness, 2) == (0, 0)
+    system = SparseRows(2, [{}, {}, {0: Fraction(1)}, {1: Fraction(3)}])
+    assert _first_nonzero_entry(system, witness, 2) == (1, 0)
+    system = SparseRows(2, [{}, {}, {0: Fraction(1)}, {}])
+    assert _first_nonzero_entry(system, witness, 2) == (1, 1)
+    system = SparseRows(2, [{0: Fraction(2), 1: Fraction(-1)}, {}])
+    assert _first_nonzero_entry(system, SparseRows(2, [{0: Fraction(1), 1: Fraction(2)}]), 1) is None
+
+
+@pytest.mark.parametrize("config", [
+    lambda: random_points_config(6, random.Random(6)),
+    lambda: random_points_config(7, random.Random(7)),
+    lambda: from_etale("t^6-t-1"),
+], ids=["points 6", "points 7", "t^6-t-1"])
+def test_complex_check_matches_the_product_on_perturbed_maps(config):
+    F = build_resolution(config())
+    assert _complex_check(F) == _complex_check_by_product(F) == (True, "")
+    rng = random.Random(F.n)
+    for r, phi in enumerate(F.maps):
+        for _ in range(1 if F.n == 7 else 3):  # the reference product is slow at n=7
+            exps = rng.choice(monomials_of_degree(F.n - 1, F.map_degree(r + 1)))
+            G = _perturbed(F, r, rng.randrange(phi.rows), rng.randrange(phi.cols), exps,
+                           Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5])))
+            verdict = _complex_check(G)
+            assert verdict == _complex_check_by_product(G)
+            assert not verdict[0]
+
+
+def test_validate_multiplies_no_polynomial_matrices(std_res, monkeypatch):
+    from resrings import resolution
+
+    def refuse(self, other):
+        raise AssertionError("PolyMatrix.__mul__ called")
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", refuse)
+    for F in (std_res(5), build_resolution(random_points_config(6, random.Random(3))), build_resolution(from_etale("t^5-t-1"))):
+        assert validate(F).ok
+        assert self_duality_check(F).ok
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _syzygy_system(*args)
+
+    monkeypatch.setattr(resolution, "_syzygy_system", counted)
+    assert validate(std_res(7)).ok
+    assert len(calls) == 4  # one system per product phi_r phi_{r+1}, shared by both checks
+
+
+def test_validate_skips_the_complex_check_when_ungraded(std_res):
+    F = std_res(5)
+    entries = [list(row) for row in F.maps[1].entries]
+    entries[0][0] = entries[0][0] + Polynomial.variable(4, 1) ** 2
+    checks = {name: (ok, detail) for name, ok, detail in validate(_with_map(F, 1, entries)).checks}
+    grading_detail = checks["grading"][1]
+    assert not checks["grading"][0]
+    skipped = (False, f"skipped, grading failed first ({grading_detail})")
+    assert checks["complex"] == checks["exactness"] == skipped
+
+
+def test_resolution_hash_is_computed_once(std_res, monkeypatch):
+    F = GradedFreeResolution.from_json(std_res(6).to_json())
+    calls = []
+    polynomial_hash = Polynomial.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return polynomial_hash(self)
+
+    monkeypatch.setattr(Polynomial, "__hash__", counted)
+    first = hash(F)
+    assert calls
+    calls.clear()
+    assert hash(F) == first
+    assert not calls
+    assert hash(GradedFreeResolution.from_json(F.to_json())) == first

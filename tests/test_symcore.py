@@ -288,6 +288,22 @@ def test_polymatrix_product_grading():
         B * B
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_polymatrix_product_is_the_sum_of_entry_products(data):
+    rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    small = polynomials(max_degree=2, max_terms=4)
+    A = PolyMatrix([[data.draw(small) for _ in range(inner)] for _ in range(rows)])
+    B = PolyMatrix([[data.draw(small) for _ in range(cols)] for _ in range(inner)])
+    expected = [
+        [sum((A.entries[i][k] * B.entries[k][j] for k in range(inner)), Polynomial.zero(3)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    product = A * B
+    assert product.entries == tuple(map(tuple, expected))
+    assert all(c for row in product.entries for p in row for c in p.terms.values())
+
+
 def test_json_round_trips(rng):
     p = Polynomial(3, {(1, 0, 2): Fraction(3, 7), (0, 1, 0): Fraction(-2)})
     assert Polynomial.from_json(p.to_json()) == p
