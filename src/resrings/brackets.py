@@ -261,9 +261,6 @@ class OmegaTensor:
         c = self.forms[k - 1].coefficient(e)
         return 2 * c if i == j else c
 
-    def act(self, g: QMatrix) -> "OmegaTensor":
-        return gl_act(g, self)
-
     def to_json(self) -> dict:
         return {"n": self.n, "omega": [f.to_json() for f in self.forms]}
 

@@ -475,15 +475,15 @@ def coordinate_ring_table(c: Configuration) -> MultiplicationTable:
     # expansion basis 1, alpha*_1, ..., alpha*_{n-1}
     expansion = QMatrix.from_columns([alg.one] + duals)
     m = n - 1
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    # one elimination for all products: column t holds the coordinates of pairs[t]
+    coords = expansion.solve(QMatrix.from_columns([alg.mult(duals[i], duals[j]) for i, j in pairs])).entries
     c0 = [[Fraction(0)] * m for _ in range(m)]
     cc = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            prod = alg.mult(duals[i], duals[j])
-            coords = expansion.solve(QMatrix.from_columns([prod]))
-            c0[i][j] = c0[j][i] = coords.entries[0][0]
-            for k in range(m):
-                cc[i][j][k] = cc[j][i][k] = coords.entries[k + 1][0]
+    for t, (i, j) in enumerate(pairs):
+        c0[i][j] = c0[j][i] = coords[0][t]
+        for k in range(m):
+            cc[i][j][k] = cc[j][i][k] = coords[k + 1][t]
     return MultiplicationTable(n, c0, cc, basis_note="trace-zero")
 
 

@@ -2,6 +2,12 @@
 uniquely determined chain-map lifts into the resolution of the standard
 configuration, the wedge/pair symbols they define, and the final syzygy.
 
+Each lift psi_m is a certified kernel of the resolution's syzygy builder:
+the degree-0 syzygies of the block [phi_m | -psi_{m-1} d_m], taken as the
+canonical kernel basis of :func:`~resrings.resolution._syzygy_system` by
+:func:`~resrings.symcore.nullspace`, are the columns of [psi_m; I] exactly
+when the lift exists and is unique.
+
 Wedge bases are m-subsets of the surviving indices ordered increasingly and
 listed lexicographically; an arbitrary input wedge is sorted first and the
 permutation sign applied.
@@ -16,8 +22,8 @@ from typing import Sequence
 
 from .brackets import perm_sign
 from .errors import InconsistencyError, InputError
-from .resolution import GradedFreeResolution
-from .symcore import Polynomial, PolyMatrix, QMatrix, monomials_of_degree
+from .resolution import GradedFreeResolution, _grading_check, _shape_check, _syzygy_system
+from .symcore import Polynomial, PolyMatrix, QMatrix, nullspace
 
 __all__ = [
     "KoszulComplex",
@@ -99,57 +105,38 @@ class ChainMap:
         return symbol(self, wedge)
 
 
-def _coefficient_system(phi: PolyMatrix, degree: int) -> QMatrix:
-    """Matrix whose column j lists the degree-d coefficients of entry column j."""
-    mons = monomials_of_degree(phi.num_vars, degree)
-    cols = []
-    for j in range(phi.cols):
-        col = []
-        for i in range(phi.rows):
-            col.extend(phi.entries[i][j].coefficient(e) for e in mons)
-        cols.append(col)
-    return QMatrix.from_columns(cols)
-
-
-def _solve_unique(A: QMatrix, rhs: QMatrix, stage: str) -> QMatrix:
-    try:
-        return A.solve(rhs)
-    except InputError as exc:
-        if "underdetermined" in str(exc):
-            raise InconsistencyError(f"chain-map lift at {stage} is not unique") from exc
-        raise InputError(f"no chain-map lift at {stage}: the resolved ideal does not contain I^J") from exc
-
-
 def lift_chain_map(K: KoszulComplex, F: GradedFreeResolution) -> ChainMap:
-    """Solve the commuting squares phi_m psi_m = psi_{m-1} d_m one degree at
-    a time; existence and uniqueness are certified by exact linear algebra."""
+    """Solve the commuting squares phi_m psi_m = psi_{m-1} d_m (psi_0 = 1)
+    one map at a time, each as the canonical kernel of the syzygy system of
+    [phi_m | -psi_{m-1} d_m] in degree 0.
+
+    Every kernel vector has a unit at its free column and is zero past it.
+    The lift exists iff every column of the right-hand block is free, and is
+    then unique iff no column of phi_m is free; the kernel vectors are then
+    the columns of [psi_m; I].  No lift is bad input; a lift that is not
+    unique means the resolution is not minimal.
+    """
     if F.n != K.n:
         raise InputError("complex and resolution sizes differ")
-    n = K.n
+    for check in (_shape_check, _grading_check):
+        ok, detail = check(F)
+        if not ok:
+            raise InputError(f"cannot lift into this resolution: {detail}")
+    m_vars = K.n - 1
+    neg_psi = PolyMatrix([[Polynomial.constant(m_vars, -1)]])  # -psi_0
     psis: list[QMatrix] = []
-    A1 = _coefficient_system(F.maps[0], 2)
-    rhs1 = _coefficient_system(K.diffs[0], 2)
-    psis.append(_solve_unique(A1, rhs1, "degree 2"))
-    for m in range(2, n - 2):
+    for m, d in enumerate(K.diffs, start=1):
         phi = F.maps[m - 1]
-        A = _coefficient_system(phi, 1)
-        prev = psis[-1]
-        d = K.diffs[m - 1]
-        rhs_rows = []
-        mons1 = monomials_of_degree(phi.num_vars, 1)
-        # rows of the system follow _coefficient_system's (entry, monomial) order
-        d_cols = []
-        for w_idx in range(d.cols):
-            col = []
-            for i in range(phi.rows):
-                entry = sum(
-                    (prev.entries[i][t] * d.entries[t][w_idx] for t in range(d.rows)),
-                    Polynomial.zero(phi.num_vars),
-                )
-                col.extend(entry.coefficient(e) for e in mons1)
-            d_cols.append(col)
-        rhs = QMatrix.from_columns(d_cols)
-        psis.append(_solve_unique(A, rhs, f"map {m}"))
+        block = PolyMatrix([a + b for a, b in zip(phi.entries, (neg_psi * d).entries)])
+        kernel = nullspace(_syzygy_system(block, F.map_degree(m), 0))
+        free = [max(i for i, v in enumerate(vec) if v) for vec in kernel]
+        if sum(f >= phi.cols for f in free) < d.cols:
+            raise InputError(f"no chain-map lift at map {m}: the resolved ideal does not contain I^J")
+        if min(free) < phi.cols:
+            raise InconsistencyError(f"chain-map lift at map {m} is not unique")
+        psi = QMatrix([[vec[r] for vec in kernel] for r in range(phi.cols)])
+        psis.append(psi)
+        neg_psi = PolyMatrix([[Polynomial.constant(m_vars, -v) for v in row] for row in psi.entries])
     return ChainMap(K, F, tuple(psis))
 
 
@@ -207,27 +194,16 @@ def final_syzygy(F: GradedFreeResolution,
             for r, coeff in enumerate(sym):
                 if coeff:
                     t_vec[r] = t_vec[r] + quad * coeff
-    phi_last = F.maps[n - 4]  # phi_{n-3}
-    for i in range(phi_last.rows):
-        image = sum(
-            (phi_last.entries[i][r] * t_vec[r] for r in range(phi_last.cols)),
-            Polynomial.zero(m_vars),
-        )
-        if not image.is_zero():
-            raise InconsistencyError("assembled final syzygy is not killed by phi_{n-3}")
-    last_col = [F.maps[n - 3].entries[r][0] for r in range(F.ranks[n - 3])]
-    factor = None
-    for t_entry, col_entry in zip(t_vec, last_col):
-        if col_entry.is_zero() != t_entry.is_zero():
-            raise InconsistencyError("final syzygy support differs from the last differential")
-        if not col_entry.is_zero():
-            e, c = next(iter(col_entry.terms.items()))
-            cand = t_entry.coefficient(e) / c
-            if factor is None:
-                factor = cand
-    if factor is None or factor == 0:
+    if not (F.maps[n - 4] * PolyMatrix([[p] for p in t_vec])).is_zero():  # phi_{n-3} t
+        raise InconsistencyError("assembled final syzygy is not killed by phi_{n-3}")
+    last_col = [row[0] for row in F.maps[n - 3].entries]
+    r = next((r for r, p in enumerate(last_col) if p), None)
+    factor = Fraction(0)
+    if r is not None:
+        e, c = next(iter(last_col[r].terms.items()))
+        factor = t_vec[r].coefficient(e) / c
+    if not factor:
         raise InconsistencyError("final syzygy vanished")
-    for t_entry, col_entry in zip(t_vec, last_col):
-        if t_entry != col_entry * factor:
-            raise InconsistencyError("final syzygy is not proportional to the last differential")
+    if any(t != p * factor for t, p in zip(t_vec, last_col)):
+        raise InconsistencyError("final syzygy is not proportional to the last differential")
     return FinalSyzygy(tuple(t_vec), factor)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .brackets import a_form, brace, bracket, double_bracket, gl_act, omega, perm_sign
 from .classical import (
@@ -31,7 +31,7 @@ from .configs import (
     standard_config,
 )
 from .errors import InputError
-from .koszul import final_syzygy, koszul_complex, lift_chain_map, symbol
+from .koszul import final_syzygy, koszul_complex, lift_chain_map, pair_symbol_even, symbol
 from .resolution import build_resolution, integerize, transform_resolution, validate
 from .ringalg import (
     discriminant,
@@ -44,7 +44,7 @@ from .ringalg import (
     table1_check,
     verify_table,
 )
-from .symcore import Polynomial, PolyMatrix, QMatrix
+from .symcore import Polynomial, PolyMatrix, QMatrix, partial_derivative
 
 __all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "standard_resolution"]
 
@@ -226,8 +226,6 @@ def suite_koszul(ns=(5, 6)) -> SuiteReport:
         def sym(wedge, j, k):
             return chain_maps[(j, k)].symbol(wedge)
 
-        from itertools import combinations
-
         for m in range(1, n - 2):
             for wedge in combinations(indices, m):
                 rest = [v for v in indices if v not in wedge]
@@ -275,8 +273,6 @@ def suite_koszul(ns=(5, 6)) -> SuiteReport:
                 s = sym((i,), j, k)
 
                 def apply_deriv(v):
-                    from .symcore import partial_derivative
-
                     D = partial_derivative(phi1, v)
                     return sum(
                         (D.entries[0][r] * s[r] for r in range(len(s))),
@@ -295,9 +291,6 @@ def suite_koszul(ns=(5, 6)) -> SuiteReport:
             rep.record(f"n={n} final syzygy matches last differential", True)
             # after rescaling the last map by the factor, its derivative
             # expansion must match the symbol expansion
-            from .koszul import pair_symbol_even
-            from .symcore import partial_derivative
-
             last = F.maps[-1]
             for k in indices:
                 D = partial_derivative(last, k)
@@ -306,7 +299,6 @@ def suite_koszul(ns=(5, 6)) -> SuiteReport:
                 for j in indices:
                     if j == k:
                         continue
-                    pair = (j, k) if (j, k) in chain_maps else (k, j)
                     vec = pair_symbol_even(chain_maps, n, j, k)
                     for r, coeff in enumerate(vec):
                         if coeff:

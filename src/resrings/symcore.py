@@ -37,7 +37,6 @@ __all__ = [
     "QMatrix",
     "SparseRows",
     "monomials_of_degree",
-    "monomial_index",
     "partial_derivative",
     "linear_substitution",
     "nullspace",
@@ -89,16 +88,6 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[tuple[int, ...], ..
         for rest in monomials_of_degree(num_vars - 1, degree - e1):
             out.append((e1,) + rest)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _monomial_index_map(num_vars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
-
-
-def monomial_index(exps: tuple[int, ...], degree: int) -> int:
-    """Position of an exponent vector in the degree-d listing."""
-    return _monomial_index_map(len(exps), degree)[exps]
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -243,10 +232,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """Exact homogeneity test; zero is homogeneous of every degree."""
@@ -529,9 +514,6 @@ class QMatrix:
         cols = [tuple(Fraction(v) for v in c) for c in columns]
         return QMatrix([[c[i] for c in cols] for i in range(len(cols[0]))])
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
@@ -678,21 +660,6 @@ class QMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(v) for v in row) for row in self.entries)
         return f"QMatrix[{body}]"
-
-
-def _nullspace_from_rref(red: QMatrix, pivots: tuple[int, ...], ncols: int) -> list[tuple[Fraction, ...]]:
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if p < f:
-                v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 class SparseRows:

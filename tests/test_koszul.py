@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from resrings.configs import random_points_config
@@ -9,8 +12,8 @@ from resrings.koszul import (
     pair_symbol_even,
     symbol,
 )
-from resrings.resolution import build_resolution
-from resrings.symcore import Polynomial
+from resrings.resolution import GradedFreeResolution, build_resolution
+from resrings.symcore import Polynomial, PolyMatrix, QMatrix
 
 
 def test_koszul_complex_n5_example():
@@ -135,3 +138,112 @@ def test_pair_symbol_even_is_pair_symmetric(std_res):
     for j, k in ((1, 3), (3, 1)):
         cms[(j, k)] = lift_chain_map(koszul_complex(5, j, k), F)
     assert pair_symbol_even(cms, 5, 1, 3) == pair_symbol_even(cms, 5, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference hashes of the lifts and final syzygies of the standard
+# configuration, equal to those of a dense Fraction solve of each square
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+PSI_SHA256 = {
+    5: "2a12f8ae1d660bd0fff8167bb3854c6e3da118d12fe812409477c299a737ae5f",
+    6: "451f75cd42b07b5ac9071684b108ab78b3bbbb88ff7f370f8c72a13fbfcecb19",
+    7: "811aae5e61879242769e9773cc22b073b488235ac3705bc76a8831afb0b4b5ed",
+}
+
+FINAL_SYZYGY_SHA256 = {
+    5: "daf64c0ed00fb8ad6890cd64656f94fb8734e5640e51c174af931364f509567c",
+    6: "44aa5b83d60d038a4e59830f18e2f88316282f9cfed014c44a9204e0a3c98c0f",
+    7: "ad3c93ae04a95969efe4b45faa8f39db40e792bfa4ed715c5fea474ff9c7c464",
+    8: "b0ac43a70a40e3c30737c2e995591205bc867f18481e1ce329b20b3ea8857fe8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PSI_SHA256))
+def test_lifts_match_pinned_hashes(std_res, n):
+    F = std_res(n)
+    lifts = [
+        [j, k, [psi.to_json() for psi in lift_chain_map(koszul_complex(n, j, k), F).psis]]
+        for j in range(1, n) for k in range(1, n) if j != k
+    ]
+    assert _sha256(lifts) == PSI_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(FINAL_SYZYGY_SHA256))
+def test_final_syzygy_matches_pinned_hash(std_res, n):
+    F = std_res(n)
+    fs = final_syzygy(F)
+    assert fs.factor != 0 and len(fs.t) == F.ranks[n - 3]
+    digest = _sha256({"t": [p.to_json() for p in fs.t], "factor": str(fs.factor)})
+    assert digest == FINAL_SYZYGY_SHA256[n]
+
+
+def test_lifts_use_no_dense_elimination(std_res, monkeypatch):
+    F = std_res(6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Fraction elimination called")
+
+    monkeypatch.setattr(QMatrix, "solve", refuse)
+    monkeypatch.setattr(QMatrix, "rref", refuse)
+    cm = lift_chain_map(koszul_complex(6, 2, 4), F)
+    assert len(cm.psis) == 3
+    assert final_syzygy(F).factor != 0
+
+
+def _hand_made(phi1_entries, F=None):
+    """A resolution-shaped F for n = 5 with the given first map and, unless
+    F is given, zero maps after it (lift_chain_map checks shape and grading
+    only)."""
+    maps = list(F.maps) if F else [
+        PolyMatrix([[Polynomial.zero(4)] * cols for _ in range(rows)])
+        for rows, cols in ((1, 5), (5, 5), (5, 1))
+    ]
+    maps[0] = PolyMatrix([phi1_entries])
+    return GradedFreeResolution(5, (1, 5, 5, 1), (0, 2, 3, 5), maps)
+
+
+_x = [Polynomial.variable(4, v) for v in range(1, 5)]
+
+
+def test_no_lift_is_input_error():
+    # I^J for J = (1, 2) is (x3(x1 - x2), x4(x1 - x2)); these squares miss it
+    F = _hand_made([x * x for x in _x] + [_x[0] * _x[1]])
+    with pytest.raises(InputError):
+        lift_chain_map(koszul_complex(5, 1, 2), F)
+
+
+def test_no_lift_at_second_map_is_input_error(std_res):
+    F = std_res(5)
+    zero = PolyMatrix([[Polynomial.zero(4)] * 5 for _ in range(5)])
+    G = GradedFreeResolution(5, F.ranks, F.twists, [F.maps[0], zero, F.maps[2]])
+    with pytest.raises(InputError):
+        lift_chain_map(koszul_complex(5, 1, 2), G)
+
+
+def test_non_unique_lift_is_inconsistency_error():
+    a, b = _x[2] * (_x[0] - _x[1]), _x[3] * (_x[0] - _x[1])
+    F = _hand_made([a, b, a, _x[0] * _x[0], Polynomial.zero(4)])
+    with pytest.raises(InconsistencyError):
+        lift_chain_map(koszul_complex(5, 1, 2), F)
+
+
+def test_inhomogeneous_maps_are_rejected(std_res):
+    F = std_res(5)
+    phi1 = list(F.maps[0].entries[0])
+    phi1[0] = phi1[0] + _x[0]  # a linear term in a quadric slot
+    with pytest.raises(InputError):
+        lift_chain_map(koszul_complex(5, 1, 2), _hand_made(phi1, F))
+    with pytest.raises(InputError):
+        final_syzygy(_hand_made(phi1, F))
+
+
+def test_nonstandard_twists_are_rejected(std_res):
+    F = std_res(5)
+    G = GradedFreeResolution(5, F.ranks, (0, 2, 3, 6), F.maps)
+    with pytest.raises(InputError):
+        lift_chain_map(koszul_complex(5, 1, 2), G)

@@ -233,9 +233,23 @@ def test_inverse_and_solve(rng):
         QMatrix([[1, 1], [1, 1]]).inverse()
 
 
+def _nullspace_from_rref(red, pivots, ncols):
+    """Reference kernel: the canonical basis read off a Fraction rref."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            if p < f:
+                v[p] = -red.entries[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 def test_modular_nullspace_matches_exact(rng, monkeypatch):
     from resrings import _modnull
-    from resrings.symcore import _nullspace_from_rref
 
     primes = []
     rref_mod_p = _modnull._rref_mod_p
