@@ -23,7 +23,7 @@ from .configs import (
     trace_data,
     transform_between,
 )
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, Report
 from .koszul import ChainMap, KoszulComplex, final_syzygy, koszul_complex, lift_chain_map, symbol
 from .resolution import (
     GradedFreeResolution,

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .brackets import brace, bracket, omega
-from .errors import InconsistencyError, InputError
-from .resolution import GradedFreeResolution, ResolutionReport, validate
+from .errors import InconsistencyError, InputError, Report
+from .resolution import GradedFreeResolution, validate
 from .ringalg import MultiplicationTable, structure_constants, verify_table, discriminant
 from .symcore import Polynomial, PolyMatrix
 
@@ -19,11 +18,8 @@ __all__ = [
     "TernaryQuadricPair",
     "ldf_table",
     "ldf_equivalence_check",
-    "LdfReport",
     "quartic_identities_check",
-    "QuarticReport",
     "pfaffian_shape_check",
-    "PfaffianReport",
     "pfaffian4",
 ]
 
@@ -74,20 +70,10 @@ def ldf_table(f: BinaryCubic) -> MultiplicationTable:
     return MultiplicationTable(3, c0, cc, basis_note="general")
 
 
-@dataclass(frozen=True)
-class LdfReport:
-    relations_ok: bool
-    discriminant_ok: bool
-    disc: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.relations_ok and self.discriminant_ok
-
-
-def ldf_equivalence_check(f: BinaryCubic) -> LdfReport:
-    """Check the (1/6)-Hessian constants of the cubic's resolution solve the
-    classical system, and that the table discriminant equals disc(f)."""
+def ldf_equivalence_check(f: BinaryCubic) -> Report:
+    """Check "relations": the (1/6)-Hessian constants of the cubic's
+    resolution solve the classical system; and "discriminant": the table
+    discriminant equals disc(f)."""
     disc = f.discriminant()
     if disc == 0:
         raise InputError("cubic has a repeated root")
@@ -101,10 +87,13 @@ def ldf_equivalence_check(f: BinaryCubic) -> LdfReport:
         and T.c_at(2, 2, 1) == -d
     )
     table = ldf_table(f)
-    if not verify_table(table).associative:
+    if not verify_table(table).passed("associative"):
         raise InconsistencyError("cubic-ring table failed associativity")
     discriminant_ok = discriminant(table) == disc
-    return LdfReport(relations_ok, discriminant_ok, disc)
+    return Report((
+        ("relations", relations_ok, "" if relations_ok else "Hessian constants do not solve the system"),
+        ("discriminant", discriminant_ok, "" if discriminant_ok else f"table discriminant != {disc}"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -133,46 +122,33 @@ class TernaryQuadricPair:
         )
 
 
-@dataclass(frozen=True)
-class QuarticReport:
-    identities_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _dd(p: Polynomial, u: int, v: int) -> Fraction:
     return p.derivative(u).derivative(v).constant_term()
 
 
-def quartic_identities_check(F: GradedFreeResolution) -> QuarticReport:
+def quartic_identities_check(F: GradedFreeResolution) -> Report:
     """The four n=4 bracket/brace identities over the even permutations of
-    (1,2,3), plus both antisymmetries."""
+    (1,2,3), plus both antisymmetries: one check per identity instance."""
     if F.n != 4:
         raise InputError("quartic identities need an n=4 resolution")
-    failures: list[str] = []
-    checked = 0
+    checks: list[tuple[str, bool, str]] = []
+
+    def check(name: str, ok: bool) -> None:
+        checks.append((name, ok, "" if ok else "fails"))
+
     br = {
         (i, j): bracket(F, (i, j)) for i in (1, 2, 3) for j in (1, 2, 3)
     }
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        checked += 4
-        if _dd(br[(j, i)], i, j) != 4 * brace(F, (j, j, i, i)):
-            failures.append(f"jjii identity fails at {(i, j, k)}")
-        if _dd(br[(i, k)], i, i) != 4 * brace(F, (i, i, i, k)):
-            failures.append(f"iiik identity fails at {(i, j, k)}")
-        if _dd(br[(i, k)], i, j) + _dd(br[(i, j)], i, k) != 4 * brace(F, (i, i, j, k)):
-            failures.append(f"iijk identity fails at {(i, j, k)}")
+        check(f"jjii identity at {(i, j, k)}", _dd(br[(j, i)], i, j) == 4 * brace(F, (j, j, i, i)))
+        check(f"iiik identity at {(i, j, k)}", _dd(br[(i, k)], i, i) == 4 * brace(F, (i, i, i, k)))
+        check(f"iijk identity at {(i, j, k)}",
+              _dd(br[(i, k)], i, j) + _dd(br[(i, j)], i, k) == 4 * brace(F, (i, i, j, k)))
         lhs = _dd(br[(k, j)], i, i) + _dd(br[(k, i)], i, j) + _dd(br[(i, j)], i, k)
-        if lhs != 4 * brace(F, (i, k, i, j)):
-            failures.append(f"ikij identity fails at {(i, j, k)}")
+        check(f"ikij identity at {(i, j, k)}", lhs == 4 * brace(F, (i, k, i, j)))
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            checked += 1
-            if br[(i, j)] != -br[(j, i)]:
-                failures.append(f"[{i},{j}] != -[{j},{i}]")
+            check(f"[{i},{j}] = -[{j},{i}]", br[(i, j)] == -br[(j, i)])
     words = [
         (i, j, k, l)
         for i in (1, 2, 3)
@@ -181,10 +157,8 @@ def quartic_identities_check(F: GradedFreeResolution) -> QuarticReport:
         for l in (1, 2, 3)
     ]
     for w in words:
-        checked += 1
-        if brace(F, w) != -brace(F, (w[2], w[3], w[0], w[1])):
-            failures.append(f"brace antisymmetry fails at {w}")
-    return QuarticReport(checked, tuple(failures))
+        check(f"brace antisymmetry at {w}", brace(F, w) == -brace(F, (w[2], w[3], w[0], w[1])))
+    return Report(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +198,11 @@ def signed_pfaffians(Phi: PolyMatrix) -> list[Polynomial]:
     return out
 
 
-@dataclass(frozen=True)
-class PfaffianReport:
-    resolution_report: ResolutionReport
-    table_ok: bool | None
-    table: MultiplicationTable | None
-
-    @property
-    def ok(self) -> bool:
-        return self.resolution_report.ok and bool(self.table_ok)
-
-
-def pfaffian_shape_check(Phi: PolyMatrix) -> PfaffianReport:
+def pfaffian_shape_check(Phi: PolyMatrix) -> tuple[Report, MultiplicationTable | None]:
     """Assemble the complex (P, Phi, P^T) from the signed 4x4 Pfaffians,
     validate it as an n=5 resolution, and on success run the full
-    omega/table pipeline on it."""
+    omega/table pipeline on it.  Returns the validation report and the
+    table, which is None when validation fails."""
     _check_alternating(Phi)
     P = signed_pfaffians(Phi)
     F = GradedFreeResolution(
@@ -249,6 +213,5 @@ def pfaffian_shape_check(Phi: PolyMatrix) -> PfaffianReport:
     )
     report = validate(F)
     if not report.ok:
-        return PfaffianReport(report, None, None)
-    table = structure_constants(omega(F), "hessian")
-    return PfaffianReport(report, verify_table(table).ok, table)
+        return report, None
+    return report, structure_constants(omega(F), "hessian")

@@ -131,7 +131,7 @@ def _cmd_table(args) -> int:
         T, s = normalize(T, args.normalize)
         applied = [str(v) for v in s.lambdas]
         report = verify_table(T)
-        if not report.associative:
+        if not report.passed("associative"):
             raise InconsistencyError(f"table failed verification: {report.witness}")
     payload = T.to_json()
     payload["provenance"] = {
@@ -170,7 +170,7 @@ def _cmd_disc(args) -> int:
         data = _read_json(args.input)
         if isinstance(data, dict) and "c0" in data:
             T = MultiplicationTable.from_json(data)
-            if not verify_table(T).associative:
+            if not verify_table(T).passed("associative"):
                 raise InputError("table is not associative; discriminant undefined here")
             print(str(discriminant(T)))
             return 0
@@ -184,9 +184,10 @@ def _cmd_disc(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, _parse_ns(args.n), args.seed, args.cases)
-    payload = [r.to_json() for r in reports]
+    payload = [{"suite": name, "ok": r.ok, "total": len(r.checks), "failed": len(r.failures),
+                "failures": r.failures[:20]} for name, r in reports]
     _emit(payload if len(payload) > 1 else payload[0], args.out)
-    if not all(r.ok for r in reports):
+    if not all(r.ok for _, r in reports):
         raise InconsistencyError("verification suite failed")
     return 0
 
@@ -198,8 +199,8 @@ def _cmd_classical(args) -> int:
         payload = {"table": T.to_json(), "discriminant": str(f.discriminant())}
         if f.discriminant() != 0:
             rep = ldf_equivalence_check(f)
-            payload["hessian_relations_ok"] = rep.relations_ok
-            payload["discriminant_ok"] = rep.discriminant_ok
+            payload["hessian_relations_ok"] = rep.passed("relations")
+            payload["discriminant_ok"] = rep.passed("discriminant")
             if not rep.ok:
                 _emit(payload, args.out)
                 raise InconsistencyError("cubic equivalence check failed")
@@ -215,22 +216,22 @@ def _cmd_classical(args) -> int:
             raise InputError(f"pencil does not resolve four points in general position: {vrep.first_failure()}")
         qrep = quartic_identities_check(F)
         _emit({"validation": vrep.to_json(), "identities_ok": qrep.ok,
-               "identities_checked": qrep.identities_checked,
-               "failures": list(qrep.failures[:10])}, args.out)
+               "identities_checked": len(qrep.checks),
+               "failures": qrep.failures[:10]}, args.out)
         if not qrep.ok:
             raise InconsistencyError("quartic identities failed on a valid pencil")
         return 0
     if args.kind == "quintic":
         Phi = PolyMatrix.from_json(_read_json(args.files[0]))
-        rep = pfaffian_shape_check(Phi)
-        payload = {"validation": rep.resolution_report.to_json()}
-        if rep.table is not None:
-            payload["table"] = rep.table.to_json()
-            payload["table_ok"] = rep.table_ok
+        vrep, table = pfaffian_shape_check(Phi)
+        payload = {"validation": vrep.to_json()}
+        if not vrep.ok:
+            _emit(payload, args.out)
+            raise InputError(f"alternating matrix is degenerate: {vrep.first_failure()}")
+        payload["table"] = table.to_json()
+        payload["table_ok"] = verify_table(table).ok
         _emit(payload, args.out)
-        if not rep.resolution_report.ok:
-            raise InputError(f"alternating matrix is degenerate: {rep.resolution_report.first_failure()}")
-        if not rep.table_ok:
+        if not payload["table_ok"]:
             raise InconsistencyError("pfaffian table failed verification")
         return 0
     raise InputError(f"unknown classical kind {args.kind!r}")
@@ -283,14 +284,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)
 
+    # The positionals take one string metavar each: with a tuple, argparse's
+    # "arguments are required" message (say for a coefficient -2/3, taken for
+    # an option) raises TypeError instead of exiting 2.
     p = sub.add_parser("classical", help="rank 3/4/5 parametrization checks")
     csub = p.add_subparsers(dest="kind", required=True)
     pc = csub.add_parser("cubic", help="cubic ring of a binary cubic form")
-    pc.add_argument("coeffs", nargs=4, metavar=("A", "B", "C", "D"))
+    pc.add_argument("coeffs", nargs=4, metavar="COEFF", help="a, b, c, d of a x^3 + b x^2 y + c x y^2 + d y^3")
     pc.add_argument("--out", metavar="PATH")
     pc.set_defaults(fn=_cmd_classical, kind="cubic")
     pq = csub.add_parser("quartic", help="pair of ternary quadratic forms (two JSON files)")
-    pq.add_argument("files", nargs=2, metavar=("A.json", "B.json"))
+    pq.add_argument("files", nargs=2, metavar="FORM.json", help="the quadrics A and B")
     pq.add_argument("--out", metavar="PATH")
     pq.set_defaults(fn=_cmd_classical, kind="quartic")
     pf = csub.add_parser("quintic", help="5x5 alternating matrix of linear forms (JSON)")

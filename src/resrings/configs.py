@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import InconsistencyError, InputError
 from .ringalg import MultiplicationTable
-from .symcore import Polynomial, QMatrix, monomials_of_degree, nullspace, rational_from_json
+from .symcore import QMatrix, monomials_of_degree, nullspace, rational_from_json
 
 __all__ = [
     "MAX_N",

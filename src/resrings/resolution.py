@@ -18,7 +18,7 @@ from operator import add
 from typing import Sequence
 
 from .configs import Configuration, evaluation_matrix, general_position_check, points_config
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, Report
 from .symcore import (
     Polynomial,
     PolyMatrix,
@@ -31,7 +31,6 @@ from .symcore import (
 
 __all__ = [
     "GradedFreeResolution",
-    "ResolutionReport",
     "TransformedResolution",
     "betti_numbers",
     "resolution_ranks",
@@ -254,27 +253,6 @@ def build_resolution(c: Configuration) -> GradedFreeResolution:
 # validation
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def first_failure(self) -> str | None:
-        for name, ok, detail in self.checks:
-            if not ok:
-                return f"{name}: {detail}"
-        return None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in self.checks],
-        }
-
-
 def _shape_check(F: GradedFreeResolution) -> tuple[bool, str]:
     if F.ranks != resolution_ranks(F.n):
         return False, f"ranks {F.ranks} != {resolution_ranks(F.n)}"
@@ -394,7 +372,7 @@ def _exactness_check(F: GradedFreeResolution, is_complex: bool,
     return True, ""
 
 
-def validate(F: GradedFreeResolution) -> ResolutionReport:
+def validate(F: GradedFreeResolution) -> Report:
     """Run every structural invariant: shape, grading, complex, minimality,
     and exactness at the generator degrees.
 
@@ -406,7 +384,7 @@ def validate(F: GradedFreeResolution) -> ResolutionReport:
     grading = _grading_check(F)
     systems = _product_systems(F) if grading[0] else None
     is_complex, complex_detail = _complex_check(F, systems)
-    return ResolutionReport((
+    return Report((
         ("shape", *_shape_check(F)),
         ("grading", *grading),
         ("complex", is_complex, complex_detail),
@@ -452,7 +430,7 @@ def transform_resolution(F: GradedFreeResolution, g: QMatrix,
     return TransformedResolution(Fp, new_config)
 
 
-def self_duality_check(F: GradedFreeResolution) -> ResolutionReport:
+def self_duality_check(F: GradedFreeResolution) -> Report:
     """Check the reversed-transposed complex is again a valid shape with the
     same quadratic generators (Gorenstein self-duality of the resolution)."""
     if F.n < 4:
@@ -462,7 +440,7 @@ def self_duality_check(F: GradedFreeResolution) -> ResolutionReport:
     try:
         Fd = GradedFreeResolution(F.n, F.ranks, F.twists, dual_maps)
     except InputError as exc:
-        return ResolutionReport((("dual shape", False, str(exc)),))
+        return Report((("dual shape", False, str(exc)),))
     for name, fn in (
         ("dual shape", _shape_check),
         ("dual grading", _grading_check),
@@ -479,7 +457,7 @@ def self_duality_check(F: GradedFreeResolution) -> ResolutionReport:
     same = row_space(F.maps[0]) == row_space(Fd.maps[0])
     checks.append(("dual generators span the ideal", same,
                    "" if same else "degree-2 row space differs from I(X)_2"))
-    return ResolutionReport(tuple(checks))
+    return Report(tuple(checks))
 
 
 def integerize(F: GradedFreeResolution) -> tuple[GradedFreeResolution, tuple[tuple[Fraction, ...], ...]]:

@@ -18,11 +18,10 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -431,6 +430,8 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(data: list) -> "PolyMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise InputError("bad polynomial matrix JSON: expected an array of arrays")
         return PolyMatrix([[Polynomial.from_json(p) for p in row] for row in data])
 
     def __repr__(self):

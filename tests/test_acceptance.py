@@ -10,33 +10,25 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from resrings.brackets import bracket, gl_act, omega, perm_sign
 from resrings.classical import BinaryCubic, ldf_equivalence_check, quartic_identities_check
 from resrings.configs import (
     coordinate_ring_table,
     from_etale,
     random_points_config,
-    standard_config,
 )
 from resrings.resolution import (
     betti_numbers,
     build_resolution,
-    integerize,
     transform_resolution,
 )
-from resrings.ringalg import (
-    integral_orders,
-    isomorphic_up_to_scalar,
-    structure_constants,
-    table1_check,
-    verify_table,
-)
+from resrings.ringalg import isomorphic_up_to_scalar, structure_constants, verify_table
 from resrings.suites import (
     standard_resolution,
     suite_koszul,
+    suite_orders,
     suite_symmetries,
+    suite_table1,
 )
 from resrings.symcore import Polynomial, QMatrix
 
@@ -139,23 +131,15 @@ def test_criterion_4_symmetry_suite():
     """100 seeded cases per identity per n in 5..7, all exact."""
     rep = suite_symmetries(ns=(5, 6, 7), seed=SEED, cases=100)
     assert rep.ok, rep.failures[:5]
-    report("4 (symmetry suite)", f"{len(rep.cases)} cases")
+    report("4 (symmetry suite)", f"{len(rep.checks)} cases")
 
 
 def test_criterion_5_theorem_10_1():
     """All four epsilon-signed identities on every distinct triple, standard
     and random configurations, n in 5..7."""
-    rng = random.Random(SEED + 5)
-    total = 0
-    for n in (5, 6, 7):
-        rep = table1_check(standard_resolution(n))
-        assert rep.ok, rep.failures[:3]
-        total += rep.triples_checked
-        cfg = random_points_config(n, rng)
-        rep = table1_check(build_resolution(cfg))
-        assert rep.ok, rep.failures[:3]
-        total += rep.triples_checked
-    report("5 (Theorem 10.1)", f"{total} triples")
+    rep = suite_table1(ns=(5, 6, 7), seed=SEED, cases=1)
+    assert rep.ok, rep.failures[:3]
+    report("5 (Theorem 10.1)", f"{len(rep.checks)} resolutions")
 
 
 def test_criterion_6_quartic_identities():
@@ -237,13 +221,14 @@ def test_criterion_9_koszul():
     assembled final syzygy is killed by phi_{n-3} and matches phi_{n-2}."""
     rep = suite_koszul(ns=(5, 6))
     assert rep.ok, rep.failures[:5]
-    report("9 (Koszul suite)", f"{len(rep.cases)} checks")
+    report("9 (Koszul suite)", f"{len(rep.checks)} checks")
 
 
 def test_criterion_10_classical_cubics():
     """50 seeded integer cubics with nonzero discriminant; anchor -23."""
-    anchor = ldf_equivalence_check(BinaryCubic.of(1, 0, -1, -1))
-    assert anchor.ok and anchor.disc == -23
+    anchor_form = BinaryCubic.of(1, 0, -1, -1)
+    anchor = ldf_equivalence_check(anchor_form)
+    assert anchor.ok and anchor_form.discriminant() == -23
     rng = random.Random(SEED + 10)
     done = 0
     while done < 50:
@@ -252,24 +237,14 @@ def test_criterion_10_classical_cubics():
             continue
         done += 1
         rep = ldf_equivalence_check(f)
-        assert rep.relations_ok and rep.discriminant_ok, (f,)
+        assert rep.passed("relations") and rep.passed("discriminant"), (f,)
     report("10 (classical n=3)", "50 cubics + anchor -23")
 
 
 def test_criterion_11_orders():
-    """Integral orders from integral resolutions: B and B' integral and
-    associative, disc(B) = (2n)^(2(n-1)) disc(B')."""
-    inputs = [
-        ("standard 4", standard_config(4), Fraction(262144)),
-        ("standard 5", standard_config(5), Fraction(10**8)),
-        ("etale t^4-t-1", from_etale("t^4-t-1"), Fraction(262144)),
-        ("etale t^5-t-1", from_etale("t^5-t-1"), Fraction(10**8)),
-    ]
-    for label, cfg, expected_ratio in inputs:
-        F_int, _ = integerize(build_resolution(cfg))
-        res = integral_orders(F_int)
-        assert res.B.is_integral() and res.Bprime.is_integral(), label
-        assert verify_table(res.B).associative, label
-        assert verify_table(res.Bprime).associative, label
-        assert res.ratio == expected_ratio, (label, res.ratio)
+    """Integral orders from integral resolutions (standard n = 4, 5 and
+    t^4-t-1, t^5-t-1): B and B' integral and associative,
+    disc(B) = (2n)^(2(n-1)) disc(B'), that is 262144 at n=4 and 10^8 at n=5."""
+    rep = suite_orders()
+    assert rep.ok, rep.failures[:5]
     report("11 (orders)", "ratios 262144 (n=4) and 10^8 (n=5), exact")

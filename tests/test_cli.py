@@ -158,7 +158,7 @@ def test_classical_quintic(tmp_path, capsys, rng):
                 entries[i][j] = p
                 entries[j][i] = -p
         Phi = PolyMatrix(entries)
-        if pfaffian_shape_check(Phi).resolution_report.ok:
+        if pfaffian_shape_check(Phi)[0].ok:
             break
     path = tmp_path / "Phi.json"
     path.write_text(json.dumps(Phi.to_json()))
@@ -373,3 +373,124 @@ def test_resolve_generated_points(tmp_path_factory, config):
         assert validate(F).ok
     else:
         assert err.getvalue().startswith("input error:")
+
+
+
+def test_verify_output_does_not_depend_on_the_hash_seed():
+    argv = [sys.executable, "-m", "resrings.cli", "verify", "--suite", "endtoend", "--seed", "1",
+            "--n", "4..5", "--cases", "1"]
+    outputs = [subprocess.run(argv, env=_subprocess_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+                              timeout=300, check=True).stdout for hash_seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
+# Broken input for the commands other than `resolve`: valid documents with
+# one subtree replaced by junk or the text cut short, malformed literals, and
+# stray argv tokens.  Sizes stay at n <= 6 and --cases <= 3.
+_junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-6, 6), st.floats(allow_nan=False, width=16),
+              st.sampled_from(["", "x", "1/2", "1/0", "-1", "7", "points", "etale"])),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "n", "points", "f", "c0", "c", "vars", "terms"]), inner,
+                      max_size=4),
+    max_leaves=8)
+_rational = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1/2", "-2/3", "1/0", "x", "", "1e3", " 1"]))
+_n = st.integers(3, 6)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` itself, or with one subtree replaced by junk."""
+    if draw(st.integers(0, 2)) == 0:
+        return doc
+    if not isinstance(doc, (list, dict)) or not doc or draw(st.integers(0, 3)) == 0:
+        return draw(_junk)
+    if isinstance(doc, list):
+        i = draw(st.integers(0, len(doc) - 1))
+        return doc[:i] + [draw(_mutated(doc[i]))] + doc[i + 1:]
+    key = draw(st.sampled_from(sorted(doc)))
+    return {**doc, key: draw(_mutated(doc[key]))}
+
+
+@st.composite
+def _document(draw):
+    """A configuration, table, polynomial or polynomial-matrix JSON document."""
+    n = draw(_n)
+    m = n - 1
+    kind = draw(st.sampled_from(["points", "etale", "table", "quadric", "alternating"]))
+    if kind == "points":
+        return {"kind": "points", "n": n, "points": draw(st.lists(st.lists(_rational, min_size=m, max_size=m),
+                                                                   min_size=n, max_size=n))}
+    if kind == "etale":
+        return {"kind": "etale", "n": n, "f": draw(st.lists(_rational, min_size=n, max_size=n)) + ["1"]}
+    if kind == "table":
+        return {"n": n, "c0": [[draw(_rational) for _ in range(m)] for _ in range(m)],
+                "c": [[[draw(_rational) for _ in range(m)] for _ in range(m)] for _ in range(m)]}
+    num_vars = 3 if kind == "quadric" else 4
+    degree = 2 if kind == "quadric" else 1
+    exponents = st.lists(st.integers(0, degree), min_size=num_vars, max_size=num_vars)
+    polynomial = st.builds(lambda terms: {"vars": num_vars, "terms": terms},
+                           st.lists(st.tuples(_rational, exponents).map(list), max_size=4))
+    if kind == "quadric":
+        return draw(polynomial)
+    return [[draw(polynomial) for _ in range(5)] for _ in range(5)]
+
+
+@st.composite
+def _input_file(draw, tmp_dir):
+    text = json.dumps(draw(_mutated(draw(_document()))))
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    path = tmp_dir / f"input{draw(st.integers(0, 1))}.json"
+    path.write_text(text)
+    return str(path)
+
+
+@st.composite
+def _argv(draw, tmp_dir):
+    command = draw(st.sampled_from(["table", "omega", "disc", "verify", "classical"]))
+    config = st.one_of(st.builds(lambda n: ["--standard", str(n)], _n),
+                       st.builds(lambda n, c: ["--etale", f"t^{n}-t{c}"], _n, st.sampled_from(["-1", "+2", "-x", ""])),
+                       st.builds(lambda path: [path], _input_file(tmp_dir)))
+    if command == "table":
+        argv = ["table"] + draw(config) + draw(st.sampled_from([[], ["--scale", "bhargava"], ["--scale", "x"]])) \
+            + draw(st.sampled_from([[], ["--normalize", "cyclic"], ["--normalize", "pairwise"],
+                                    ["--normalize", "trace_zero"]]))
+    elif command == "omega":
+        argv = ["omega"] + draw(config) + draw(st.one_of(
+            st.just([]), st.builds(lambda w: ["--brace", ",".join(map(str, w))], st.lists(st.integers(-1, 6), max_size=7)),
+            st.just(["--brace", "1,x"])))
+    elif command == "disc":
+        argv = ["disc"] + draw(st.one_of(st.builds(lambda cs: ["--cubic"] + cs, st.lists(_rational, min_size=4, max_size=4)),
+                                         st.builds(lambda c: ["--orders"] + c, config), config))
+    elif command == "verify":
+        argv = ["verify", "--suite", draw(st.sampled_from(["symmetries", "koszul", "table1", "endtoend", "classical",
+                                                           "orders", "all", "x"])),
+                "--n", draw(st.sampled_from(["3", "4", "5", "6", "4..5", "5,4", "2", "x", "..", "6..3"])),
+                "--cases", draw(st.sampled_from(["1", "2", "3", "x", "1.5"])),
+                "--seed", draw(st.sampled_from(["0", "1", "9", "x"]))]
+    else:
+        argv = ["classical"] + draw(st.one_of(
+            st.builds(lambda cs: ["cubic"] + cs, st.lists(_rational, min_size=4, max_size=4)),
+            st.builds(lambda a, b: ["quartic", a, b], _input_file(tmp_dir), _input_file(tmp_dir)),
+            st.builds(lambda a: ["quintic", a], _input_file(tmp_dir))))
+    if draw(st.integers(0, 4)) == 0:  # a stray token
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--n", "x", "-", "--orders", "7"])))
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_broken_input_exits_0_or_2_without_traceback(tmp_path_factory, data):
+    argv = data.draw(_argv(tmp_path_factory.mktemp("inputs")))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+            assert code == 2 and "error:" in err.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("input error:", "usage:")), err.getvalue()

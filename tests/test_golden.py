@@ -6,13 +6,16 @@ A change to any of these hashes is a change in the program's output, and
 they must not move under changes meant to be speed-ups.  The `resolve`
 hashes were taken before syzygy systems were assembled as sparse integer
 rows; the others, and the Table 1 reports, before brackets, omega and
-braces were read from integer coefficient arrays.
+braces were read from integer coefficient arrays.  The `classical` and
+`verify` pins, with their exit codes, were taken before the verdicts of
+every check moved onto one `Report` type.
 """
 
 import hashlib
 import json
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -22,6 +25,7 @@ from resrings.cli import main
 from resrings.configs import from_etale, random_points_config, standard_config
 from resrings.resolution import build_resolution
 from resrings.ringalg import Table1Report, table1_check
+from resrings.symcore import Polynomial, PolyMatrix
 
 GOLDEN = {
     "standard 3": "615a6bfa7421b38a3a4e092185a23ef7e0791ef36f3c2f4a1261a9434f0bec36",
@@ -187,3 +191,63 @@ def test_brace_output_is_bit_identical():
 def test_table1_report_is_unchanged(config, triples):
     cfg = config()
     assert table1_check(build_resolution(cfg)) == Table1Report(cfg.n, triples, ())
+
+
+def _alternating(upper):
+    """The 5x5 alternating matrix of linear forms in x1..x4 whose entries
+    above the diagonal, in row-major order, have the given coefficients."""
+    entries = [[Polynomial.zero(4) for _ in range(5)] for _ in range(5)]
+    coefficients = iter(upper)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            p = Polynomial(4, {tuple(int(t == s) for t in range(4)): Fraction(c)
+                               for s, c in enumerate(next(coefficients))})
+            entries[i][j], entries[j][i] = p, -p
+    return PolyMatrix(entries)
+
+
+_x1, _x2, _x3 = (Polynomial.variable(3, j) for j in (1, 2, 3))
+
+# JSON input files, named in the argv of CLI_GOLDEN
+CLI_FILES = {
+    # the pencil through the four standard points of P^2
+    "pencil.A": lambda: (_x1 * (_x2 - _x3)).to_json(),
+    "pencil.B": lambda: (_x2 * (_x1 - _x3)).to_json(),
+    "generic.Phi": lambda: _alternating([
+        [2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2], [2, -1, -2, -1],
+        [1, 0, -1, 1], [-1, -2, -1, 2], [2, 1, -1, -1], [-2, -2, -1, -1], [-1, -1, 0, 0],
+    ]).to_json(),
+    # every entry x1: the Pfaffians are all +-x1^2, so validation fails (exit 2)
+    "degenerate.Phi": lambda: _alternating([[1, 0, 0, 0]] * 10).to_json(),
+}
+
+# argv -> (exit code, sha256 of stdout)
+CLI_GOLDEN = {
+    "classical cubic 1 0 -1 -1": (0, "54dd0724417cc75c747507f120da16f4bf6ff772cbb77178ff32271d163eb7e0"),
+    "classical cubic 2 -3 5 7": (0, "9fe56eaf7ccabf93ece277865d213142ef43ff372833c4231312fb83a8ee4374"),
+    "classical quartic pencil.A pencil.B": (0, "474d095be4df3cbfbbcc5ece58193eeece9151df74b5b5e4ec777d1a9377528e"),
+    "classical quintic generic.Phi": (0, "b961814f06c978f87dd66fd9948d2a2c715434659179a52ee01fe60ee402b6e8"),
+    "classical quintic degenerate.Phi": (2, "17c9d1149546e61c37fec12215db58f51cfd07c6b58119f59c3d508cbff0f634"),
+    "verify --suite symmetries --n 5 --cases 3": (0, "7c317b5b1318d11f08b183490dc00483908f585c86cf536525de4c3693c19e86"),
+    "verify --suite koszul --n 5": (0, "b20ff7227856c3ba04b163ac2bcc23588d58c463687bf1ab26258f41fa98650c"),
+    "verify --suite table1 --n 5 --cases 1": (0, "6687c0f6660b4fa156f1d9ac05e7df850e6893d8907c62b3df7b8c2af1d6453c"),
+    "verify --suite endtoend --n 4..5 --cases 1": (0, "69b6795aa7f08d13e4056006a7431d7f9fa3c4af84a42e135eb1b9ec392d91d6"),
+    "verify --suite classical --cases 5": (0, "cf442f8f97d6fee31b3318a8e177f23900fa8deff4971df098c81915e0683db3"),
+    "verify --suite orders --n 4": (0, "0477f6341b8b3d87ccc55120c6c449ebc62036c84a6792d31d2ab5f42786f760"),
+    "verify --suite all --n 5 --cases 2": (0, "9f535dc3984683dd59a4850e56b0b8eb3c9ca7a7daa6dec23cf3935fb51c1ac6"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_GOLDEN))
+def test_classical_and_verify_output_is_bit_identical(case, tmp_path):
+    argv = []
+    for arg in case.split():
+        if arg in CLI_FILES:
+            path = tmp_path / arg
+            path.write_text(json.dumps(CLI_FILES[arg]()))
+            arg = str(path)
+        argv.append(arg)
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(argv)
+    assert (code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()) == CLI_GOLDEN[case]

@@ -10,7 +10,6 @@ from resrings.koszul import (
     koszul_complex,
     lift_chain_map,
     pair_symbol_even,
-    symbol,
 )
 from resrings.resolution import GradedFreeResolution, build_resolution
 from resrings.symcore import Polynomial, PolyMatrix, QMatrix
